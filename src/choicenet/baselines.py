@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 from . import data as D
 from .training import Adam, LossStats, TrainConfig, TrainReport, ce_loss, LOG_FLOOR, DivergedError
 
@@ -67,7 +67,8 @@ def baseline_forward(batch: D.PaddedBatch, params, config: BaselineConfig) -> Te
 def baseline_dataset_ce(ds: D.ChoiceDataset, params, config, batch_size: int = 256) -> float:
     total, count = 0.0, 0
     for batch in D.make_batches(ds, batch_size, shuffle=False):
-        probs = baseline_forward(batch, params, config).data
+        with no_grad():
+            probs = baseline_forward(batch, params, config).data
         picked = probs[np.arange(batch.size), batch.labels]
         total += -np.log(np.maximum(picked, LOG_FLOOR)).sum()
         count += batch.size

@@ -64,7 +64,7 @@ def cmd_train(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     reports = []
-    best_artifacts = None
+    best_val, best_artifacts = np.inf, None
     for rep in range(args.repeats):
         seed = args.seed + rep
         splits = D.split(ds, seed=seed)
@@ -78,8 +78,10 @@ def cmd_train(args) -> int:
         metric = _test_metric(params, mc, splits[2], args.task, args.threshold)
         report.test_metrics.update(metric)
         reports.append(report)
-        if best_artifacts is None:
-            best_artifacts = (params, mc, tc)
+        # keep the repeat with the lowest best validation loss
+        val = report.val_losses[report.best_epoch]
+        if val < best_val:
+            best_val, best_artifacts = val, (params, mc, tc)
         with open(os.path.join(out_dir, f"report_{rep}.txt"), "w") as fh:
             fh.write(report.to_text())
 

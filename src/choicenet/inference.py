@@ -20,6 +20,7 @@ from .data import (
     pad_multi_batch,
 )
 from . import model as M
+from .tensor import Tensor, no_grad
 from .training import LOG_FLOOR
 
 
@@ -42,7 +43,8 @@ def predict_sequential(params, config, catalog: ItemCatalog, C, S, context=None)
     if not C <= S:
         raise ValueError("candidates must be a subset of the assortment")
     batch = _obs_batch(catalog, C, S, context)
-    probs = M.forward(batch, params, config).probs[0]
+    with no_grad():
+        probs = M.forward(batch, params, config).probs[0]
     return sorted(C), probs[: len(C)]
 
 
@@ -58,7 +60,8 @@ def assortment_utilities(params, config, catalog: ItemCatalog, S, context=None):
         kind=MULTI, assortment=frozenset(S), basket=frozenset([S[0]]), context=context
     )
     batch = pad_multi_batch(catalog, [obs])
-    u = M.forward_utilities(batch, params, config).data[0]
+    with no_grad():
+        u = M.forward_utilities(batch, params, config).data[0]
     return S, u[: len(S)]
 
 
@@ -228,7 +231,8 @@ def tune_threshold(params, config, val_ds: ChoiceDataset, grid=(0.1, 0.3, 0.5, 0
 
 def capture_attention(params, config, catalog: ItemCatalog, C, S, context=None):
     batch = _obs_batch(catalog, C, S, context)
-    return M.forward(batch, params, config, capture_attention=True).records
+    with no_grad():
+        return M.forward(batch, params, config, capture_attention=True).records
 
 
 def _full_matrix(record: M.AttentionRecord, catalog: ItemCatalog) -> np.ndarray:
@@ -305,11 +309,10 @@ def export_latent_features(params, config, catalog: ItemCatalog, S, out_path) ->
     """Assortment-encoder latent rows for the given assortment, as CSV."""
     batch = _obs_batch(catalog, S, S)
     ctx = M._Ctx(params, config, False, None, False, batch)
-    from .tensor import Tensor
-
-    latents = M._assortment_encoder(
-        ctx, Tensor(batch.assort_features), batch.assort_mask, batch.assort_items
-    ).data[0]
+    with no_grad():
+        latents = M._assortment_encoder(
+            ctx, Tensor(batch.assort_features), batch.assort_mask, batch.assort_items
+        ).data[0]
     items = batch.assort_items[0]
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -245,14 +245,15 @@ def attention(
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"attention dims {q.shape} vs {k.shape}")
     scores = q.matmul(k.transpose_last())
-    if scale:
-        scores = scores.scale(1.0 / np.sqrt(scale_dim))
-    km = np.asarray(key_mask, dtype=bool)
-    km_rows = np.broadcast_to(km[..., None, :], scores.shape)
+    c = 1.0 / np.sqrt(scale_dim) if scale else 1.0
+    km_rows = np.asarray(key_mask, dtype=bool)[..., None, :]
     if activation == SOFTMAX:
-        weights = scores.masked_softmax(km_rows)
+        weights = scores.masked_softmax(km_rows, scale=c)
         norm = weights.data
     elif activation == ONE_PLUS_RELU:
+        if scale:
+            scores = scores.scale(c)
+        km_rows = np.broadcast_to(km_rows, scores.shape)
         weights = scores.one_plus_relu() * Tensor(km_rows.astype(np.float64))
         rowsum = weights.data.sum(axis=-1, keepdims=True)
         norm = np.divide(weights.data, rowsum, out=np.zeros_like(weights.data), where=rowsum > 0)
@@ -268,7 +269,7 @@ def _multi_head_attention(
     x_kv: Tensor,
     key_mask: np.ndarray,
     activation: str,
-) -> tuple[Tensor, np.ndarray]:
+) -> tuple[Tensor, list[np.ndarray]]:
     cfg = ctx.config
     outs, norms = [], []
     for k in range(cfg.n_heads):
@@ -279,7 +280,7 @@ def _multi_head_attention(
         outs.append(out)
         norms.append(norm)
     merged = outs[0] if cfg.n_heads == 1 else concat(outs, axis=-1)
-    return merged, np.stack(norms)
+    return merged, norms
 
 
 def _attn_sublayer(
@@ -298,10 +299,8 @@ def _attn_sublayer(
         ctx, prefix, x_q, x_kv, key_mask, ctx.config.activation_for(sublayer)
     )
     if ctx.capture:
-        for head in range(norms.shape[0]):
-            ctx.records.append(
-                AttentionRecord(layer, head, kind, norms[head], row_items, col_items)
-            )
+        for head, norm in enumerate(norms):
+            ctx.records.append(AttentionRecord(layer, head, kind, norm, row_items, col_items))
     out = ctx.drop(out)
     if ctx.config.residual_for(sublayer):
         out = out + x_q

@@ -13,7 +13,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 from .data import ItemCatalog, PaddedBatch
 from . import model as M
 
@@ -272,7 +272,8 @@ def verify_representation(
             if c_mask == 0:
                 continue
             batch = _single_batch(model.n, c_mask, s_mask)
-            probs = M.forward(batch, params, config).probs[0]
+            with no_grad():
+                probs = M.forward(batch, params, config).probs[0]
             cand = items_of(c_mask)
             for pos, i in enumerate(cand):
                 err = abs(probs[pos] - tabular_probability(model, i, c_mask, s_mask))

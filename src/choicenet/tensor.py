@@ -1,14 +1,53 @@
 """Minimal dense-tensor library with reverse-mode automatic differentiation.
 
 Tensors are float64 numpy arrays of rank <= 3 (batch x set x feature at most).
-Operations on tensors that require gradients record a computation graph;
-``Tensor.backward()`` on a scalar runs the tape in reverse topological order
-and accumulates gradients into every ``requires_grad`` leaf.
+An op records a computation graph only while grad is enabled (outside
+``no_grad()``) and some parent requires grad. ``Tensor.backward()`` on a
+scalar runs the tape in reverse topological order and accumulates gradients
+into every ``requires_grad`` tensor. Leaves created with ``requires_grad``
+own a gradient buffer from the start; an op's output gets one only when
+``backward()`` first reaches it, and tensors that do not require grad never
+get one.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import os
+import platform
+import threading
+
 import numpy as np
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed memory for reuse instead of handing it back.
+
+    Every training step allocates and frees arrays of one to a few MB (the
+    (B, N, N) attention maps and their gradients). Under glibc's default
+    dynamic thresholds, whether such a block is reused from the heap or
+    mapped again, page-faulting on first touch, depends on the heap's
+    history: a bakery training epoch took 18k to 113k minor faults
+    depending on the data seed, and up to a fifth longer. A fixed mmap
+    threshold at glibc's 64-bit maximum (32 MB) and no heap trimming make
+    every step reuse the same memory; the heap then stays at its peak size.
+    Nothing is changed off glibc, or when either threshold is set through
+    ``MALLOC_MMAP_THRESHOLD_`` / ``MALLOC_TRIM_THRESHOLD_``."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    if "MALLOC_MMAP_THRESHOLD_" in os.environ or "MALLOC_TRIM_THRESHOLD_" in os.environ:
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    m_trim_threshold, m_mmap_threshold = -1, -3  # from <malloc.h>
+    mallopt(m_mmap_threshold, 32 * 1024 * 1024)
+    mallopt(m_trim_threshold, 2**31 - 1)
+
+
+_keep_freed_memory()
 
 
 class ShapeError(ValueError):
@@ -38,11 +77,45 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NonFiniteError(f"non-finite values produced by '{op}'")
 
 
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops in this thread without recording a graph: their outputs have no
+    parents, no backward closure and no gradient. The previous mode is
+    restored on exit."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
+
+
+def _accumulate(t: "Tensor", g, fresh: bool = True) -> None:
+    """Add ``g`` into ``t.grad``. A ``fresh`` array, which no other tensor
+    holds, becomes the first gradient as it is; anything else (an upstream
+    gradient, a view of one, or the numpy scalar a 0-d product gives) is
+    copied into a new array, so no two tensors share a buffer."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = g if fresh and type(g) is np.ndarray else np.array(g, order="C")
+    else:
+        t.grad += g
+
+
 class Tensor:
     """Dense float64 array participating in reverse-mode autodiff.
 
     A tensor produced by an op holds references to its parents and a backward
-    closure; the graph is only recorded while some ancestor requires grad.
+    closure; the graph is only recorded while grad is enabled and some parent
+    requires grad.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -63,11 +136,9 @@ class Tensor:
     @staticmethod
     def _from_op(data: np.ndarray, parents: tuple, backward, op: str) -> "Tensor":
         _check_finite(data, op)
-        track = any(p.requires_grad or p._parents or p._backward for p in parents)
         out = Tensor(data)
-        if track:
+        if _grad_mode.enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
-            out.grad = np.zeros_like(out.data)
             out._parents = parents
             out._backward = backward
         return out
@@ -96,8 +167,8 @@ class Tensor:
             raise ShapeError(f"add shapes {self.shape} vs {other.shape}")
 
         def backward(dy, a=self, b=other):
-            a.grad += dy
-            b.grad += dy
+            _accumulate(a, dy, fresh=False)
+            _accumulate(b, dy, fresh=False)
 
         return Tensor._from_op(self.data + other.data, (self, other), backward, "add")
 
@@ -106,8 +177,10 @@ class Tensor:
             raise ShapeError(f"mul shapes {self.shape} vs {other.shape}")
 
         def backward(dy, a=self, b=other):
-            a.grad += dy * b.data
-            b.grad += dy * a.data
+            if a.requires_grad:
+                _accumulate(a, dy * b.data)
+            if b.requires_grad:
+                _accumulate(b, dy * a.data)
 
         return Tensor._from_op(self.data * other.data, (self, other), backward, "mul")
 
@@ -115,7 +188,7 @@ class Tensor:
         c = float(c)
 
         def backward(dy, a=self):
-            a.grad += dy * c
+            _accumulate(a, dy * c)
 
         return Tensor._from_op(self.data * c, (self,), backward, "scale")
 
@@ -124,7 +197,7 @@ class Tensor:
         c = float(c)
 
         def backward(dy, a=self):
-            a.grad += dy
+            _accumulate(a, dy, fresh=False)
 
         return Tensor._from_op(self.data + c, (self,), backward, "shift")
 
@@ -137,9 +210,10 @@ class Tensor:
             raise ShapeError(f"bias shape {bias.shape} vs last dim {self.shape}")
 
         def backward(dy, a=self, b=bias):
-            a.grad += dy
-            axes = tuple(range(dy.ndim - 1))
-            b.grad += dy.sum(axis=axes) if axes else dy
+            _accumulate(a, dy, fresh=False)
+            if b.requires_grad:
+                axes = tuple(range(dy.ndim - 1))
+                _accumulate(b, dy.sum(axis=axes), fresh=bool(axes))
 
         return Tensor._from_op(self.data + bias.data, (self, bias), backward, "add_bias")
 
@@ -151,17 +225,17 @@ class Tensor:
             raise ShapeError(f"matmul inner dims {a.shape} vs {b.shape}")
 
         def backward(dy, ta=self, tb=other):
-            bt = np.swapaxes(tb.data, -1, -2)
-            at = np.swapaxes(ta.data, -1, -2)
-            da = np.matmul(dy, bt)
-            db = np.matmul(at, dy)
             # collapse broadcast batch axes back onto the operand's shape
-            while da.ndim > ta.data.ndim:
-                da = da.sum(axis=0)
-            while db.ndim > tb.data.ndim:
-                db = db.sum(axis=0)
-            ta.grad += da
-            tb.grad += db
+            if ta.requires_grad:
+                da = np.matmul(dy, np.swapaxes(tb.data, -1, -2))
+                while da.ndim > ta.data.ndim:
+                    da = da.sum(axis=0)
+                _accumulate(ta, da)
+            if tb.requires_grad:
+                db = np.matmul(np.swapaxes(ta.data, -1, -2), dy)
+                while db.ndim > tb.data.ndim:
+                    db = db.sum(axis=0)
+                _accumulate(tb, db)
 
         return Tensor._from_op(np.matmul(a, b), (self, other), backward, "matmul")
 
@@ -170,7 +244,7 @@ class Tensor:
             raise ShapeError("transpose_last needs rank >= 2")
 
         def backward(dy, a=self):
-            a.grad += np.swapaxes(dy, -1, -2)
+            _accumulate(a, np.swapaxes(dy, -1, -2), fresh=False)
 
         return Tensor._from_op(np.swapaxes(self.data, -1, -2), (self,), backward, "transpose")
 
@@ -179,13 +253,13 @@ class Tensor:
     def relu(self) -> "Tensor":
         # subgradient at 0 is 0
         def backward(dy, a=self):
-            a.grad += dy * (a.data > 0)
+            _accumulate(a, dy * (a.data > 0))
 
         return Tensor._from_op(np.maximum(self.data, 0.0), (self,), backward, "relu")
 
     def one_plus_relu(self) -> "Tensor":
         def backward(dy, a=self):
-            a.grad += dy * (a.data > 0)
+            _accumulate(a, dy * (a.data > 0))
 
         return Tensor._from_op(1.0 + np.maximum(self.data, 0.0), (self,), backward, "one_plus_relu")
 
@@ -193,7 +267,7 @@ class Tensor:
         y = 1.0 / (1.0 + np.exp(-self.data))
 
         def backward(dy, a=self, yv=y):
-            a.grad += dy * yv * (1.0 - yv)
+            _accumulate(a, dy * yv * (1.0 - yv))
 
         return Tensor._from_op(y, (self,), backward, "sigmoid")
 
@@ -207,7 +281,7 @@ class Tensor:
             g = dy / xv
             if floor > 0:
                 g = np.where(a.data >= floor, g, 0.0)
-            a.grad += g
+            _accumulate(a, g)
 
         return Tensor._from_op(np.log(x), (self,), backward, "log")
 
@@ -215,7 +289,7 @@ class Tensor:
 
     def sum(self) -> "Tensor":
         def backward(dy, a=self):
-            a.grad += dy * np.ones_like(a.data)
+            _accumulate(a, dy * np.ones_like(a.data))
 
         return Tensor._from_op(np.asarray(self.data.sum()), (self,), backward, "sum")
 
@@ -223,7 +297,7 @@ class Tensor:
         n = self.data.size
 
         def backward(dy, a=self):
-            a.grad += dy * np.full_like(a.data, 1.0 / n)
+            _accumulate(a, dy * np.full_like(a.data, 1.0 / n))
 
         return Tensor._from_op(np.asarray(self.data.mean()), (self,), backward, "mean")
 
@@ -232,30 +306,38 @@ class Tensor:
             raise ShapeError(f"cannot reshape {self.shape} to {shape}")
 
         def backward(dy, a=self):
-            a.grad += dy.reshape(a.data.shape)
+            _accumulate(a, dy.reshape(a.data.shape), fresh=False)
 
         return Tensor._from_op(self.data.reshape(shape), (self,), backward, "reshape")
 
     # -- structured ops -------------------------------------------------------
 
-    def masked_softmax(self, mask: np.ndarray) -> "Tensor":
-        """Softmax over the last axis restricted to unmasked (True) entries.
+    def masked_softmax(self, mask: np.ndarray, scale: float = 1.0) -> "Tensor":
+        """Softmax over the last axis of ``scale * self``, restricted to
+        unmasked (True) entries.
 
-        Masked entries are exactly 0 in the output. Implemented with a large
-        negative sentinel plus row-max subtraction for stability.
+        ``mask`` may have any shape that broadcasts to this tensor's, such as
+        a (B, 1, N) key mask for (B, M, N) scores. A 0/-inf bias built from it
+        is added once, so masked entries are exactly 0 in the output; the row
+        max is subtracted before the exponential for stability.
         """
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), self.shape)
+        mask = np.asarray(mask, dtype=bool)
         if not mask.any(axis=-1).all():
             raise DegenerateRowError("masked_softmax: fully-masked row")
-        neg = np.where(mask, self.data, -np.inf)
-        rowmax = neg.max(axis=-1, keepdims=True)
-        e = np.exp(np.where(mask, self.data - rowmax, -np.inf))
-        e = np.where(mask, e, 0.0)
-        y = e / e.sum(axis=-1, keepdims=True)
+        scale = float(scale)
+        y = self.data * scale
+        y += np.where(mask, 0.0, -np.inf)
+        y -= y.max(axis=-1, keepdims=True)
+        np.exp(y, out=y)
+        y /= y.sum(axis=-1, keepdims=True)
 
-        def backward(dy, a=self, yv=y, m=mask):
-            dot = (dy * yv).sum(axis=-1, keepdims=True)
-            a.grad += np.where(m, yv * (dy - dot), 0.0)
+        def backward(dy, a=self, yv=y):
+            # masked entries of y are exactly 0, so they get no gradient
+            g = dy - (dy * yv).sum(axis=-1, keepdims=True)
+            g *= yv
+            if scale != 1.0:
+                g *= scale
+            _accumulate(a, g)
 
         return Tensor._from_op(y, (self,), backward, "masked_softmax")
 
@@ -272,10 +354,12 @@ class Tensor:
             gdy = dy * g.data
             m1 = gdy.mean(axis=-1, keepdims=True)
             m2 = (gdy * xh).mean(axis=-1, keepdims=True)
-            a.grad += (gdy - m1 - xh * m2) * iv
+            _accumulate(a, (gdy - m1 - xh * m2) * iv)
             axes = tuple(range(dy.ndim - 1))
-            g.grad += (dy * xh).sum(axis=axes) if axes else dy * xh
-            b.grad += dy.sum(axis=axes) if axes else dy
+            if g.requires_grad:
+                _accumulate(g, (dy * xh).sum(axis=axes))
+            if b.requires_grad:
+                _accumulate(b, dy.sum(axis=axes), fresh=bool(axes))
 
         return Tensor._from_op(
             xhat * gain.data + bias.data, (self, gain, bias), backward, "layer_norm"
@@ -290,14 +374,15 @@ class Tensor:
         scale = 1.0 / (1.0 - rate)
 
         def backward(dy, a=self, k=keep):
-            a.grad += dy * k * scale
+            _accumulate(a, dy * k * scale)
 
         return Tensor._from_op(self.data * keep * scale, (self,), backward, "dropout")
 
     # -- backward pass --------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode pass from a scalar; accumulates into leaf ``grad``."""
+        """Reverse-mode pass from a scalar; accumulates into the ``grad`` of
+        every tensor on the graph that requires grad."""
         if self.data.ndim != 0 and self.data.size != 1:
             raise ShapeError("backward requires a scalar loss")
         order: list[Tensor] = []
@@ -313,14 +398,11 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen:
+                if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
-        for node in order:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward is not None:
+            if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
 
@@ -335,6 +417,6 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
         for t, lo, hi in zip(ts, offs[:-1], offs[1:]):
             idx = [slice(None)] * dy.ndim
             idx[ax] = slice(lo, hi)
-            t.grad += dy[tuple(idx)]
+            _accumulate(t, dy[tuple(idx)], fresh=False)
 
     return Tensor._from_op(out, tuple(tensors), backward, "concat")

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 from . import data as D
 from . import model as M
 
@@ -179,7 +179,8 @@ def dataset_ce(
 ) -> float:
     total, count = 0.0, 0
     for batch in D.make_batches(ds, batch_size, shuffle=False):
-        res = M.forward(batch, params, config, training=False)
+        with no_grad():
+            res = M.forward(batch, params, config, training=False)
         picked = res.probs[np.arange(batch.size), batch.labels]
         total += -np.log(np.maximum(picked, LOG_FLOOR)).sum()
         count += batch.size
@@ -191,7 +192,8 @@ def dataset_binary_ce(
 ) -> float:
     total, count = 0.0, 0
     for batch in D.make_batches(ds, batch_size, shuffle=False):
-        u = M.forward_utilities(batch, params, config).data
+        with no_grad():
+            u = M.forward_utilities(batch, params, config).data
         s = 1.0 / (1.0 + np.exp(-u))
         y = batch.label_mask.astype(float)
         v = batch.assort_mask

@@ -3,7 +3,7 @@ import pytest
 
 from choicenet import data as D
 from choicenet import model as M
-from choicenet.tensor import Tensor
+from choicenet.tensor import Tensor, no_grad
 
 
 def seq_obs(assortment, candidates, choice):
@@ -169,6 +169,31 @@ class TestForwardBasics:
         )
         with pytest.raises(ValueError):
             M.forward(batch, params, cfg)
+
+
+class TestNoGradForward:
+    def test_outputs_identical_and_graph_free(self):
+        rng = np.random.default_rng(12)
+        cat, obs = random_batch(rng, n_items=6, batch=4)
+        cfg = M.TCNetConfig(input_dim=5, hidden_dim=8, n_heads=2, seed=0)
+        params = M.init_params(cfg)
+        batch = D.pad_batch(cat, obs)
+        multi = [
+            D.ChoiceObservation(D.MULTI, o.assortment, basket=frozenset([min(o.assortment)]))
+            for o in obs
+        ]
+        ubatch = D.pad_multi_batch(cat, multi)
+        graph = M.forward(batch, params, cfg)
+        graph_u = M.forward_utilities(ubatch, params, cfg)
+        assert graph.utilities._parents and graph_u._parents
+        with no_grad():
+            plain = M.forward(batch, params, cfg)
+            plain_u = M.forward_utilities(ubatch, params, cfg)
+        np.testing.assert_array_equal(plain.probs, graph.probs)
+        np.testing.assert_array_equal(plain.utilities.data, graph.utilities.data)
+        np.testing.assert_array_equal(plain_u.data, graph_u.data)
+        for t in (plain.utilities, plain.loss_input, plain_u):
+            assert t._parents == () and t._backward is None and t.grad is None
 
 
 class TestAttentionCapture:

@@ -1,12 +1,16 @@
+import threading
+
 import numpy as np
 import pytest
 
+from choicenet import tensor as T
 from choicenet.tensor import (
     DegenerateRowError,
     NonFiniteError,
     ShapeError,
     Tensor,
     concat,
+    no_grad,
 )
 
 
@@ -89,6 +93,30 @@ class TestMaskedSoftmax:
     def test_fully_masked_row(self):
         with pytest.raises(DegenerateRowError):
             Tensor([[1.0, 2.0]]).masked_softmax(np.zeros((1, 2), bool))
+
+    def test_fully_masked_broadcast_row(self):
+        mask = np.array([[[True, True]], [[False, False]]])
+        with pytest.raises(DegenerateRowError):
+            Tensor(np.zeros((2, 3, 2))).masked_softmax(mask)
+
+    def test_scale_and_broadcast_key_mask(self):
+        # a (B, 1, N) key mask with scale c equals the explicit (B, M, N)
+        # mask on pre-scaled scores, and its gradient matches finite differences
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 3, 4)))
+        key_mask = np.array([[[True, False, True, True]], [[True, True, True, False]]])
+        c = 0.35
+        out = x.masked_softmax(key_mask, scale=c)
+        ref = Tensor(x.data * c).masked_softmax(np.broadcast_to(key_mask, x.shape))
+        np.testing.assert_array_equal(out.data, ref.data)
+        assert (out.data[~np.broadcast_to(key_mask, x.shape)] == 0).all()
+
+        (x.masked_softmax(key_mask, scale=c) * w).sum().backward()
+        numeric = central_difference(
+            lambda: (x.masked_softmax(key_mask, scale=c) * w).sum().item(), x
+        )
+        np.testing.assert_allclose(x.grad, numeric, rtol=1e-6, atol=1e-9)
 
 
 class TestElementwise:
@@ -180,6 +208,149 @@ class TestBackward:
         y = x + x  # two paths
         y.sum().backward()
         np.testing.assert_array_equal(x.grad, [2.0])
+
+
+class TestLazyGradients:
+    def test_intermediate_used_twice_sums(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        h = x.scale(1.0)
+        y = h + h
+        y.sum().backward()
+        np.testing.assert_array_equal(y.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(h.grad, [2.0, 2.0])
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+    def test_diamond_through_add_and_add_bias(self):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        c = rng.normal(size=(2, 3))
+        h = x.add_bias(b)
+        ((h + h.scale(3.0)) * Tensor(c)).sum().backward()
+        np.testing.assert_allclose(x.grad, 4.0 * c, rtol=1e-15)
+        np.testing.assert_allclose(b.grad, 4.0 * c.sum(axis=0), rtol=1e-15)
+
+    def test_concat_slices(self):
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+        c = rng.normal(size=(2, 5))
+        a, b = x.scale(1.0), x.scale(2.0)
+        out = concat([a, b], axis=0)
+        (out * Tensor(np.concatenate([c, c]))).sum().backward()
+        np.testing.assert_array_equal(a.grad, c)
+        np.testing.assert_array_equal(b.grad, c)
+        np.testing.assert_allclose(x.grad, 3.0 * c, rtol=1e-15)
+
+    def test_pass_through_grads_are_distinct_arrays(self):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        bias = Tensor(np.zeros(4), requires_grad=True)
+        h = x.scale(1.0)
+        siblings = [
+            h.add_bias(bias), h.shift(1.0), h.reshape(2, 4, 3).reshape(2, 3, 4),
+            h.transpose_last().transpose_last(), h + h.relu(),
+        ]
+        tail = concat([h, *siblings], axis=-1)
+        tail.sum().backward()
+        graph = [x, bias, h, tail, *siblings]
+        for node in siblings:
+            graph.extend(node._parents)
+        for i, p in enumerate(graph):
+            for q in graph[i + 1:]:
+                if p is not q:
+                    assert not np.shares_memory(p.grad, q.grad)
+
+    def test_leaves_without_grad_stay_none(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        feats = Tensor(np.full((2, 3), 2.0))
+        w = Tensor(np.ones((3, 1)))
+        onehot = Tensor(np.eye(2))
+        mask = np.ones((2, 2), bool)
+        u = (x * feats).matmul(w).reshape(2, 1)
+        scores = u.matmul(Tensor(np.ones((1, 2))))
+        (scores.masked_softmax(mask) * onehot).sum().backward()
+        assert x.grad is not None
+        for t in (feats, w, onehot):
+            assert t.grad is None
+
+
+class TestNoGrad:
+    @staticmethod
+    def records(x):
+        return bool((x * x)._parents)
+
+    def test_outputs_carry_no_graph(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with no_grad():
+            y = x.relu().masked_softmax(np.ones(2, bool)).sum()
+        assert not y.requires_grad
+        assert y._parents == () and y._backward is None and y.grad is None
+
+    def test_mode_restored_on_exit(self):
+        x = Tensor([1.0], requires_grad=True)
+        with no_grad():
+            assert not self.records(x)
+        assert self.records(x)
+
+    def test_mode_restored_on_exception(self):
+        x = Tensor([1.0], requires_grad=True)
+        with pytest.raises(NonFiniteError):
+            with no_grad():
+                Tensor([np.inf]).relu()
+        assert self.records(x)
+
+    def test_nested(self):
+        x = Tensor([1.0], requires_grad=True)
+        with no_grad():
+            with no_grad():
+                assert not self.records(x)
+            assert not self.records(x)
+        assert self.records(x)
+
+    def test_mode_is_per_thread(self):
+        x = Tensor([1.0], requires_grad=True)
+        seen = []
+        with no_grad():
+            worker = threading.Thread(target=lambda: seen.append(self.records(x)))
+            worker.start()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert seen == [True]
+
+
+class TestKeepFreedMemory:
+    @staticmethod
+    def fake_libc(monkeypatch, calls):
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(T.platform, "libc_ver", lambda: ("glibc", "2.36"))
+        monkeypatch.setattr(T.ctypes, "CDLL", lambda name: Libc())
+        for var in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"):
+            monkeypatch.delenv(var, raising=False)
+
+    def test_fixes_both_thresholds_on_glibc(self, monkeypatch):
+        calls = []
+        self.fake_libc(monkeypatch, calls)
+        T._keep_freed_memory()
+        assert calls == [(-3, 32 * 1024 * 1024), (-1, 2**31 - 1)]
+
+    @pytest.mark.parametrize("var", ["MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"])
+    def test_environment_setting_wins(self, monkeypatch, var):
+        calls = []
+        self.fake_libc(monkeypatch, calls)
+        monkeypatch.setenv(var, "131072")
+        T._keep_freed_memory()
+        assert calls == []
+
+    def test_nothing_off_glibc(self, monkeypatch):
+        calls = []
+        self.fake_libc(monkeypatch, calls)
+        monkeypatch.setattr(T.platform, "libc_ver", lambda: ("", ""))
+        T._keep_freed_memory()
+        assert calls == []
 
 
 def central_difference(f, x, h=1e-6):
