@@ -134,14 +134,10 @@ def _test_metric(params, config, test_ds, task, threshold):
 def cmd_eval(args) -> int:
     params, config = M.load_checkpoint(args.checkpoint)
     ds = _load_dataset(args)
+    for k, v in _test_metric(params, config, ds, args.task, args.threshold).items():
+        print(f"{k}: {v}")
     if args.task == "multi":
-        report = I.evaluate(params, config, ds, D.MULTI, mu=args.threshold)
-    else:
-        seq = ds if ds.kind == D.SEQUENTIAL else D.single_to_sequential(ds)
-        report = {"ce": T.dataset_ce(seq, params, config)}
-    for k, v in report.items():
-        if k != "per_sample":
-            print(f"{k}: {v}")
+        print(f"threshold: {args.threshold}")
     return EXIT_OK
 
 

@@ -18,10 +18,11 @@ from .data import (
     PaddedBatch,
     pad_batch,
     pad_multi_batch,
+    single_to_sequential,
 )
 from . import model as M
+from . import training as T
 from .tensor import Tensor, no_grad
-from .training import LOG_FLOOR
 
 
 def _obs_batch(catalog: ItemCatalog, C, S, context=None) -> PaddedBatch:
@@ -186,39 +187,53 @@ def f1_loss(predicted: list[frozenset], actual: list[frozenset]) -> float:
     return 1.0 - total / len(actual)
 
 
+def _membership_probs(params, config, ds: ChoiceDataset):
+    """Per basket of ``ds``, its sorted assortment items and their sigmoid
+    utilities, from batched forward passes."""
+    if ds.kind != MULTI:
+        raise ValueError(f"task multi but dataset kind {ds.kind}")
+    rows = []
+    for batch, u in T.batch_utilities(ds, params, T.network_utilities(config)):
+        sig = 1.0 / (1.0 + np.exp(-u.data))
+        rows += [(items, sig[b, : len(items)]) for b, items in enumerate(batch.assort_items)]
+    return rows
+
+
+def _threshold_f1(rows, ds: ChoiceDataset, mu: float) -> float:
+    """F1 loss of ``predict_threshold``'s baskets (items with sigmoid > mu)."""
+    if not 0.0 < mu < 1.0:
+        raise ValueError("threshold must lie in (0, 1)")
+    preds = [frozenset(i for i, s in zip(items, sig) if s > mu) for items, sig in rows]
+    return f1_loss(preds, [obs.basket for obs in ds.observations])
+
+
 def evaluate(params, config, ds: ChoiceDataset, task: str, mu: float = 0.5) -> dict:
-    """CE for single/sequential tasks, F1 loss (thresholded) for multi."""
+    """CE for single/sequential tasks, F1 loss (thresholded) for multi, from
+    batched forward passes."""
     if task in (SINGLE, SEQUENTIAL):
         if ds.kind != task:
             raise ValueError(f"task {task} but dataset kind {ds.kind}")
-        from .data import single_to_sequential
-
         seq = single_to_sequential(ds) if ds.kind == SINGLE else ds
-        per_sample = []
-        for obs in seq.observations:
-            items, probs = predict_sequential(
-                params, config, ds.catalog, obs.candidates, obs.assortment, obs.context
-            )
-            p = probs[items.index(obs.choice)]
-            per_sample.append(-np.log(max(p, LOG_FLOOR)))
+        utilities = T.network_utilities(config)
+        per_sample = [
+            float(nll)
+            for batch, u in T.batch_utilities(seq, params, utilities)
+            for nll in T.choice_nll(batch, u)
+        ]
         return {"ce": float(np.mean(per_sample)), "per_sample": per_sample}
     if task == MULTI:
-        if ds.kind != MULTI:
-            raise ValueError(f"task multi but dataset kind {ds.kind}")
-        preds = [
-            predict_threshold(params, config, ds.catalog, obs.assortment, mu, obs.context)
-            for obs in ds.observations
-        ]
-        actual = [obs.basket for obs in ds.observations]
-        return {"f1_loss": f1_loss(preds, actual), "threshold": mu}
+        rows = _membership_probs(params, config, ds)
+        return {"f1_loss": _threshold_f1(rows, ds, mu), "threshold": mu}
     raise ValueError(f"unknown task {task!r}")
 
 
 def tune_threshold(params, config, val_ds: ChoiceDataset, grid=(0.1, 0.3, 0.5, 0.7, 0.9)):
-    """Pick the threshold minimizing validation F1 loss."""
+    """Pick the threshold minimizing validation F1 loss; the utilities are
+    computed once for the whole grid."""
+    rows = _membership_probs(params, config, val_ds)
     best_mu, best_loss = None, np.inf
     for mu in grid:
-        loss = evaluate(params, config, val_ds, MULTI, mu=mu)["f1_loss"]
+        loss = _threshold_f1(rows, val_ds, mu)
         if loss < best_loss:
             best_mu, best_loss = mu, loss
     return best_mu, best_loss

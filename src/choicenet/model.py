@@ -351,6 +351,16 @@ def _decoder(ctx: _Ctx, x: Tensor) -> Tensor:
     return h.reshape(*x.shape[:-1])
 
 
+def _utilities(ctx: _Ctx) -> Tensor:
+    """The one forward body: both encoders and the decoder, B x Cmax."""
+    b = ctx.batch
+    if not b.cand_mask.any(axis=-1).all():
+        raise ValueError("observation with zero candidates")
+    xs = _assortment_encoder(ctx, Tensor(b.assort_features), b.assort_mask, b.assort_items)
+    xc = _candidates_encoder(ctx, Tensor(b.cand_features), b.cand_mask, xs, b.assort_mask)
+    return _decoder(ctx, xc)
+
+
 def forward(
     batch: PaddedBatch,
     params: dict[str, Tensor],
@@ -360,14 +370,8 @@ def forward(
     capture_attention: bool = False,
 ) -> ForwardResult:
     """Full pass: probabilities over unmasked candidate positions per row."""
-    if not batch.cand_mask.any(axis=-1).all():
-        raise ValueError("observation with zero candidates")
     ctx = _Ctx(params, config, training, rng, capture_attention, batch)
-    xs = Tensor(batch.assort_features)
-    xc = Tensor(batch.cand_features)
-    xs_latent = _assortment_encoder(ctx, xs, batch.assort_mask, batch.assort_items)
-    xc_latent = _candidates_encoder(ctx, xc, batch.cand_mask, xs_latent, batch.assort_mask)
-    utilities = _decoder(ctx, xc_latent)
+    utilities = _utilities(ctx)
     probs = utilities.masked_softmax(batch.cand_mask)
     return ForwardResult(probs.data, utilities, probs, ctx.records)
 
@@ -379,14 +383,11 @@ def forward_utilities(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Decoder utilities u_i^S for the binary (threshold) head; the batch must
-    have candidates equal to the assortment (see ``pad_multi_batch``)."""
-    ctx = _Ctx(params, config, training, rng, False, batch)
-    xs = Tensor(batch.assort_features)
-    xc = Tensor(batch.cand_features)
-    xs_latent = _assortment_encoder(ctx, xs, batch.assort_mask, batch.assort_items)
-    xc_latent = _candidates_encoder(ctx, xc, batch.cand_mask, xs_latent, batch.assort_mask)
-    return _decoder(ctx, xc_latent)
+    """Decoder utilities u_i^S, B x Cmax with padded positions not masked: the
+    softmax over ``cand_mask`` gives ``forward``'s probabilities; on a
+    ``pad_multi_batch`` batch (candidates = assortment) their sigmoids are
+    the threshold head's membership probabilities."""
+    return _utilities(_Ctx(params, config, training, rng, False, batch))
 
 
 # ---------------------------------------------------------------------------

@@ -345,10 +345,9 @@ class Tensor:
         d = self.shape[-1]
         if gain.shape != (d,) or bias.shape != (d,):
             raise ShapeError("layer_norm gain/bias must match last dim")
-        mu = self.data.mean(axis=-1, keepdims=True)
-        var = self.data.var(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = (self.data - mu) * inv
+        xc = self.data - self.data.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+        xhat = xc * inv
 
         def backward(dy, a=self, g=gain, b=bias, xh=xhat, iv=inv):
             gdy = dy * g.data

@@ -1,4 +1,5 @@
-"""Losses, optimizer, and the training/grid-search loops."""
+"""Losses, optimizer, the one training loop with grid search over it, and
+the one batched evaluator."""
 
 from __future__ import annotations
 
@@ -134,12 +135,11 @@ class TrainConfig:
     lr_grid: tuple = (0.001, 0.0005, 0.0001)
     hidden_grid: tuple = (32, 128, 256)
     heads_grid: tuple = (4, 8, 16, 32)
-    threshold_grid: tuple = (0.1, 0.3, 0.5, 0.7, 0.9)
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        for grid in (self.lr_grid, self.hidden_grid, self.heads_grid, self.threshold_grid):
+        for grid in (self.lr_grid, self.hidden_grid, self.heads_grid):
             if not grid:
                 raise ValueError("grids must be nonempty")
 
@@ -167,34 +167,46 @@ class TrainReport:
         return "\n".join(lines) + "\n"
 
 
-def _epoch_train_data(train: D.ChoiceDataset, rng: np.random.Generator) -> D.ChoiceDataset:
-    # multi baskets get a fresh random ordering each epoch
-    if train.kind == D.MULTI:
-        return D.multi_to_sequential(train, rng)
-    return train
+def network_utilities(config: M.TCNetConfig):
+    """The network as a model's utilities function
+    ``(batch, params, training, rng) -> B x Cmax Tensor``."""
+
+    def utilities(batch, params, training=False, rng=None):
+        return M.forward_utilities(batch, params, config, training, rng)
+
+    return utilities
 
 
-def dataset_ce(
-    ds: D.ChoiceDataset, params, config: M.TCNetConfig, batch_size: int = 256
-) -> float:
-    total, count = 0.0, 0
+def batch_utilities(ds: D.ChoiceDataset, params, utilities, batch_size: int = 256):
+    """Yield ``(batch, utilities)`` over the unshuffled batches of ``ds``,
+    computed without recording a graph."""
     for batch in D.make_batches(ds, batch_size, shuffle=False):
         with no_grad():
-            res = M.forward(batch, params, config, training=False)
-        picked = res.probs[np.arange(batch.size), batch.labels]
-        total += -np.log(np.maximum(picked, LOG_FLOOR)).sum()
-        count += batch.size
-    return total / count
+            u = utilities(batch, params, False, None)
+        yield batch, u  # outside no_grad(): the consumer keeps its own grad mode
 
 
-def dataset_binary_ce(
-    ds: D.ChoiceDataset, params, config: M.TCNetConfig, batch_size: int = 256
+def choice_nll(batch: D.PaddedBatch, utilities: Tensor) -> np.ndarray:
+    """-log P(choice | C, S) per row, from the softmax of ``utilities`` over
+    the candidates with probabilities floored at ``LOG_FLOOR``."""
+    with no_grad():
+        probs = utilities.masked_softmax(batch.cand_mask).data
+    picked = probs[np.arange(batch.size), batch.labels]
+    return -np.log(np.maximum(picked, LOG_FLOOR))
+
+
+def dataset_loss(
+    ds: D.ChoiceDataset, params, utilities, objective: str = "ce", batch_size: int = 256
 ) -> float:
+    """Mean loss of a model over ``ds``: per observation for "ce", per valid
+    assortment position for "binary_ce"."""
     total, count = 0.0, 0
-    for batch in D.make_batches(ds, batch_size, shuffle=False):
-        with no_grad():
-            u = M.forward_utilities(batch, params, config).data
-        s = 1.0 / (1.0 + np.exp(-u))
+    for batch, u in batch_utilities(ds, params, utilities, batch_size):
+        if objective == "ce":
+            total += choice_nll(batch, u).sum()
+            count += batch.size
+            continue
+        s = 1.0 / (1.0 + np.exp(-u.data))
         y = batch.label_mask.astype(float)
         v = batch.assort_mask
         bce = -(y * np.log(np.maximum(s, LOG_FLOOR)) + (1 - y) * np.log(np.maximum(1 - s, LOG_FLOOR)))
@@ -203,17 +215,30 @@ def dataset_binary_ce(
     return total / count
 
 
-def train(
-    model_config: M.TCNetConfig,
+def dataset_ce(
+    ds: D.ChoiceDataset, params, config: M.TCNetConfig, batch_size: int = 256
+) -> float:
+    """The network's mean sequential CE over ``ds``."""
+    return dataset_loss(ds, params, network_utilities(config), "ce", batch_size)
+
+
+def fit(
+    params: dict[str, Tensor],
+    utilities,
     splits: tuple[D.ChoiceDataset, D.ChoiceDataset, D.ChoiceDataset],
     train_config: TrainConfig,
     objective: str = "ce",
 ) -> tuple[dict[str, Tensor], TrainReport]:
-    """Run the full training protocol and return the best-validation params.
+    """The training protocol for any model, given as its initial ``params``
+    (updated in place) and its ``utilities(batch, params, training, rng)``:
+    shuffled epochs, decayed Adam, best-validation selection. Returns a copy
+    of the best-validation params and the report.
 
     ``objective`` is "ce" (sequential CE over candidates) or "binary_ce"
     (independent per-item CE for the threshold/multi head).
     """
+    if objective not in ("ce", "binary_ce"):
+        raise ValueError(f"unknown objective {objective!r}")
     t0 = time.time()
     train_ds, val_ds, _ = splits
     rng = np.random.default_rng(train_config.seed)
@@ -226,15 +251,16 @@ def train(
     if val_ds.kind == D.MULTI and objective == "ce":
         val_ds = D.multi_to_sequential(val_ds, np.random.default_rng(train_config.seed + 1))
 
+    # multi baskets get a fresh random ordering each epoch under ce
+    expand = train_ds.kind == D.MULTI and objective == "ce"
     epochs = train_config.epochs
     approx_expanded = len(train_ds)
-    if train_ds.kind == D.MULTI and objective == "ce":
+    if expand:
         mean_basket = np.mean([len(o.basket) for o in train_ds.observations])
         approx_expanded = int(len(train_ds) * mean_basket)
     if approx_expanded > train_config.desk_scale_limit:
         epochs = min(epochs, 50)
 
-    params = M.init_params(model_config, np.random.default_rng(model_config.seed))
     opt = Adam(params, lr=train_config.initial_lr, weight_decay=train_config.weight_decay)
     stats = LossStats()
     report = TrainReport()
@@ -243,18 +269,14 @@ def train(
 
     for epoch in range(epochs):
         opt.lr = train_config.lr_at(epoch)
-        if objective == "ce":
-            epoch_ds = _epoch_train_data(train_ds, rng)
-        else:
-            epoch_ds = train_ds
+        epoch_ds = D.multi_to_sequential(train_ds, rng) if expand else train_ds
         epoch_loss, n_batches = 0.0, 0
         for batch in D.make_batches(epoch_ds, train_config.batch_size, rng, shuffle=True):
             opt.zero_grad()
+            u = utilities(batch, params, True, rng)
             if objective == "ce":
-                res = M.forward(batch, params, model_config, training=True, rng=rng)
-                loss = ce_loss(res.loss_input, batch.labels, stats)
+                loss = ce_loss(u.masked_softmax(batch.cand_mask), batch.labels, stats)
             else:
-                u = M.forward_utilities(batch, params, model_config, training=True, rng=rng)
                 loss = independent_ce_loss(u, batch.label_mask, batch.assort_mask)
             loss.backward()
             opt.step()
@@ -262,10 +284,7 @@ def train(
             n_batches += 1
         report.train_losses.append(epoch_loss / n_batches)
 
-        if objective == "ce":
-            val = dataset_ce(val_ds, params, model_config, train_config.batch_size)
-        else:
-            val = dataset_binary_ce(val_ds, params, model_config, train_config.batch_size)
+        val = dataset_loss(val_ds, params, utilities, objective, train_config.batch_size)
         if not np.isfinite(val):
             raise DivergedError(f"validation loss diverged at epoch {epoch}")
         report.val_losses.append(val)
@@ -277,6 +296,18 @@ def train(
     report.clamped_labels = stats.clamped_labels
     report.wall_clock = time.time() - t0
     return best_params, report
+
+
+def train(
+    model_config: M.TCNetConfig,
+    splits: tuple[D.ChoiceDataset, D.ChoiceDataset, D.ChoiceDataset],
+    train_config: TrainConfig,
+    objective: str = "ce",
+) -> tuple[dict[str, Tensor], TrainReport]:
+    """Train the network from its seeded initialization with ``fit`` and
+    return the best-validation params."""
+    params = M.init_params(model_config, np.random.default_rng(model_config.seed))
+    return fit(params, network_utilities(model_config), splits, train_config, objective)
 
 
 def grid_search(

@@ -246,8 +246,8 @@ def test_06_bakery_benchmark():
     net_ce = T.dataset_ce(test, params, best_mc)
 
     bc = B.BaselineConfig(kind=B.MNL, input_dim=ds.catalog.feature_dim)
-    bparams, _ = B.train_baseline(bc, reduced, tc)
-    mnl_ce = B.baseline_dataset_ce(test, bparams, bc)
+    bparams, _ = T.fit(B.init_baseline(bc), B.baseline_utilities, reduced, tc)
+    mnl_ce = T.dataset_loss(test, bparams, B.baseline_utilities)
     elapsed = time.time() - t0
     report(
         6,

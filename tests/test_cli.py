@@ -6,6 +6,8 @@ import pytest
 
 from choicenet.cli import EXIT_BAD_INPUT, EXIT_ERROR, EXIT_OK, main
 from choicenet import data as D
+from choicenet import inference as I
+from choicenet import model as M
 from choicenet import oracle as O
 
 
@@ -137,6 +139,30 @@ class TestEndToEnd:
         assert rc == EXIT_OK
         basket = capsys.readouterr().out.strip().split(";")
         assert len(basket) == 2
+
+
+    def test_eval_multi_checkpoint(self, tmp_path, capsys):
+        data = tmp_path / "multi.csv"
+        run(["gen-synthetic", "--multi", "--samples", 120, "--out-file", data])
+        out = tmp_path / "runs"
+        rc = run(
+            [
+                "train", "--task", "multi", "--data", data,
+                "--out", out, "--run-id", "m", "--epochs", 2, "--batch-size", 32,
+                "--hidden-dim", 8, "--heads", 2,
+            ]
+        )
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        ckpt = out / "m" / "best.ckpt.npz"
+        rc = run(
+            ["eval", "--task", "multi", "--data", data, "--checkpoint", ckpt,
+             "--threshold", 0.3]
+        )
+        assert rc == EXIT_OK
+        params, config = M.load_checkpoint(ckpt)
+        f1 = I.evaluate(params, config, D.load_csv(data), D.MULTI, mu=0.3)["f1_loss"]
+        assert capsys.readouterr().out.splitlines() == [f"f1_loss: {f1}", "threshold: 0.3"]
 
 
 class TestTheoryCheck:

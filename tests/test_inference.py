@@ -7,6 +7,7 @@ from choicenet import data as D
 from choicenet import inference as I
 from choicenet import model as M
 from choicenet import oracle as O
+from choicenet import training as T
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +241,62 @@ class TestEvaluate:
         mu, loss = I.tune_threshold(params, cfg, ds, grid=(0.3, 0.5))
         assert mu in (0.3, 0.5)
         assert 0.0 <= loss <= 1.0
+
+
+@pytest.fixture(scope="module")
+def multi_net():
+    """A threshold-head network trained briefly on boosted baskets."""
+    ds = D.generate_boosted_multi(300, seed=21)
+    splits = D.split(ds, seed=22)
+    cfg = M.TCNetConfig(input_dim=4, hidden_dim=8, n_heads=2, dropout_rate=0.0, seed=5)
+    tc = T.TrainConfig(initial_lr=0.01, epochs=3, batch_size=32, seed=5)
+    params, _ = T.train(cfg, splits, tc, objective="binary_ce")
+    return params, cfg, splits
+
+
+class TestBatchedMatchesSingleQuery:
+    """The batched evaluators against the single-query paths."""
+
+    def test_sequential_per_sample_is_single_query_nll(self, small_net):
+        params, cfg, _ = small_net
+        ds = D.generate_boosted_synthetic(300, seed=7)
+        shapes = {(len(o.assortment), len(o.candidates)) for o in ds.observations}
+        assert len(shapes) > 4  # each padded batch mixes |S| and |C|
+        out = I.evaluate(params, cfg, ds, D.SEQUENTIAL)
+        assert len(out["per_sample"]) == len(ds)
+        for obs, nll in zip(ds.observations, out["per_sample"]):
+            items, probs = I.predict_sequential(
+                params, cfg, ds.catalog, obs.candidates, obs.assortment
+            )
+            assert abs(nll + np.log(probs[items.index(obs.choice)])) <= 1e-12
+
+    def test_multi_baskets_match_predict_threshold(self, multi_net, monkeypatch):
+        params, cfg, (_, _, test) = multi_net
+        seen = []
+        monkeypatch.setattr(I, "f1_loss", lambda pred, actual: seen.append(pred) or 0.0)
+        for mu in (0.3, 0.5, 0.7):
+            I.evaluate(params, cfg, test, D.MULTI, mu=mu)
+            expected = [
+                I.predict_threshold(params, cfg, test.catalog, obs.assortment, mu)
+                for obs in test.observations
+            ]
+            assert seen.pop() == expected
+            assert 0 < sum(map(len, expected)) < sum(len(o.assortment) for o in test.observations)
+
+    def test_tune_threshold_is_argmin_of_each_evaluation(self, multi_net, monkeypatch):
+        params, cfg, (_, val, _) = multi_net
+        grid = (0.1, 0.3, 0.4, 0.5, 0.6, 0.7, 0.9)
+        losses = [I.evaluate(params, cfg, val, D.MULTI, mu=mu)["f1_loss"] for mu in grid]
+        assert len(set(losses)) > 1
+        calls = []
+        forward_utilities = M.forward_utilities
+        monkeypatch.setattr(
+            M, "forward_utilities", lambda *a, **k: calls.append(1) or forward_utilities(*a, **k)
+        )
+        mu, loss = I.tune_threshold(params, cfg, val, grid)
+        assert mu == grid[int(np.argmin(losses))]
+        assert loss == min(losses)
+        assert len(calls) == -(-len(val) // 256)  # one forward per batch, not per grid value
 
 
 class TestAttentionExport:

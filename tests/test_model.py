@@ -169,6 +169,8 @@ class TestForwardBasics:
         )
         with pytest.raises(ValueError):
             M.forward(batch, params, cfg)
+        with pytest.raises(ValueError):
+            M.forward_utilities(batch, params, cfg)
 
 
 class TestNoGradForward:
@@ -194,6 +196,30 @@ class TestNoGradForward:
         np.testing.assert_array_equal(plain_u.data, graph_u.data)
         for t in (plain.utilities, plain.loss_input, plain_u):
             assert t._parents == () and t._backward is None and t.grad is None
+
+
+class TestOneForwardBody:
+    def test_forward_softmaxes_forward_utilities(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        cat, obs = random_batch(rng, n_items=6, batch=5)
+        cfg = M.TCNetConfig(input_dim=5, hidden_dim=8, n_heads=2, seed=1)
+        params = M.init_params(cfg)
+        batch = D.pad_batch(cat, obs)
+        u = M.forward_utilities(batch, params, cfg).data
+
+        def must_not_be_called(*args, **kwargs):
+            raise AssertionError("forward and forward_utilities must not call each other")
+
+        forward = M.forward
+        monkeypatch.setattr(M, "forward_utilities", must_not_be_called)
+        res = forward(batch, params, cfg)
+        np.testing.assert_array_equal(res.utilities.data, u)
+        with no_grad():
+            probs = Tensor(u).masked_softmax(batch.cand_mask).data
+        np.testing.assert_array_equal(res.probs, probs)
+        monkeypatch.undo()
+        monkeypatch.setattr(M, "forward", must_not_be_called)
+        np.testing.assert_array_equal(M.forward_utilities(batch, params, cfg).data, u)
 
 
 class TestAttentionCapture:
