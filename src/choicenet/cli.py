@@ -145,7 +145,12 @@ def cmd_predict(args) -> int:
     params, config = M.load_checkpoint(args.checkpoint)
     catalog, S, C = _catalog_and_sets(args, config)
     if args.task == "multi":
-        stop = ("fixed_size", args.size) if args.size else ("stop_item", catalog.stop_index)
+        if args.size is not None:
+            stop = ("fixed_size", args.size)
+        elif catalog.stop_index is not None:
+            stop = ("stop_item", catalog.stop_index)
+        else:
+            raise ValueError("--size is required because the catalog has no stop item")
         pred = I.generate_basket(
             params, config, catalog, S, method=args.method,
             stop=stop, rng=np.random.default_rng(args.seed),

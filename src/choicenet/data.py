@@ -515,7 +515,9 @@ class PaddedBatch:
     """A batch of sequential observations padded to the batch's max set sizes.
 
     Padded positions carry zero features and False masks; ``labels`` indexes
-    the chosen candidate position of each row.
+    the chosen candidate position of each row. ``assort_index`` numbers the
+    distinct (assortment, context) pairs in order of first appearance and
+    gives each row's number; it is None when no two rows share a pair.
     """
 
     cand_features: np.ndarray  # B x Cmax x d
@@ -526,6 +528,7 @@ class PaddedBatch:
     label_mask: np.ndarray | None  # B x Smax bool (multi membership)
     cand_items: list[list[int]]
     assort_items: list[list[int]]
+    assort_index: np.ndarray | None = None  # B int
 
     @property
     def size(self) -> int:
@@ -538,6 +541,16 @@ def _item_features(catalog: ItemCatalog, items: list[int], context) -> np.ndarra
         ctx = np.tile(np.asarray(context, dtype=np.float64), (len(items), 1))
         feats = np.concatenate([feats, ctx], axis=1)
     return feats
+
+
+def _assortment_index(observations: list[ChoiceObservation]) -> np.ndarray | None:
+    """Each row's distinct (assortment, context) number, by hashing; None for
+    one row or when all rows differ."""
+    if len(observations) < 2:
+        return None
+    seen: dict = {}
+    index = [seen.setdefault((o.assortment, o.context), len(seen)) for o in observations]
+    return np.array(index) if len(seen) < len(observations) else None
 
 
 def effective_feature_dim(ds: ChoiceDataset) -> int:
@@ -565,7 +578,9 @@ def pad_batch(catalog: ItemCatalog, observations: list[ChoiceObservation]) -> Pa
         mc[b, : len(cand_sets[b])] = True
         ms[b, : len(assort_sets[b])] = True
         labels[b] = cand_sets[b].index(obs.choice)
-    return PaddedBatch(fc, fs, mc, ms, labels, None, cand_sets, assort_sets)
+    return PaddedBatch(
+        fc, fs, mc, ms, labels, None, cand_sets, assort_sets, _assortment_index(observations)
+    )
 
 
 def pad_multi_batch(catalog: ItemCatalog, observations: list[ChoiceObservation]) -> PaddedBatch:
@@ -585,7 +600,9 @@ def pad_multi_batch(catalog: ItemCatalog, observations: list[ChoiceObservation])
         ms[b, : len(assort_sets[b])] = True
         for pos, item in enumerate(assort_sets[b]):
             lm[b, pos] = item in obs.basket
-    return PaddedBatch(fs, fs, ms, ms, None, lm, assort_sets, assort_sets)
+    return PaddedBatch(
+        fs, fs, ms, ms, None, lm, assort_sets, assort_sets, _assortment_index(observations)
+    )
 
 
 def make_batches(

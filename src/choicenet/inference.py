@@ -22,7 +22,7 @@ from .data import (
 )
 from . import model as M
 from . import training as T
-from .tensor import Tensor, no_grad
+from .tensor import no_grad
 
 
 def _obs_batch(catalog: ItemCatalog, C, S, context=None) -> PaddedBatch:
@@ -36,6 +36,19 @@ def _obs_batch(catalog: ItemCatalog, C, S, context=None) -> PaddedBatch:
     return pad_batch(catalog, [obs])
 
 
+def _candidate_probs(params, config, catalog: ItemCatalog, C, S, context=None, cache=None):
+    """(sorted candidate items, P(i | C, S)), scored against ``cache``, the
+    encoding of ``S``, if given."""
+    batch = _obs_batch(catalog, C, S, context)
+    with no_grad():
+        probs = M.forward(batch, params, config, cache=cache).probs[0]
+    return sorted(C), probs[: len(C)]
+
+
+def _encode_assortment(params, config, catalog: ItemCatalog, S, context=None) -> M.AssortmentCache:
+    return M.encode_assortment(_obs_batch(catalog, S, S, context), params, config)
+
+
 def predict_sequential(params, config, catalog: ItemCatalog, C, S, context=None):
     """P(i | C, S) for each candidate; returns (sorted candidate items, probs)."""
     C, S = frozenset(C), frozenset(S)
@@ -43,10 +56,7 @@ def predict_sequential(params, config, catalog: ItemCatalog, C, S, context=None)
         raise ValueError("empty candidate set")
     if not C <= S:
         raise ValueError("candidates must be a subset of the assortment")
-    batch = _obs_batch(catalog, C, S, context)
-    with no_grad():
-        probs = M.forward(batch, params, config).probs[0]
-    return sorted(C), probs[: len(C)]
+    return _candidate_probs(params, config, catalog, C, S, context)
 
 
 def predict_single(params, config, catalog: ItemCatalog, S, context=None):
@@ -95,7 +105,8 @@ def generate_basket(
     """Iteratively choose from a shrinking candidate set starting at C = S.
 
     ``stop`` is ("fixed_size", k) or ("stop_item", item_index). Greedy ties
-    break toward the lowest item index.
+    break toward the lowest item index. S is encoded once; each step scores
+    its candidate set against that encoding.
     """
     S = frozenset(S)
     kind, arg = stop
@@ -110,10 +121,11 @@ def generate_basket(
     if method == "sample" and rng is None:
         raise ValueError("sampling requires an rng")
 
+    cache = _encode_assortment(params, config, catalog, S, context)
     chosen: list[tuple[int, float]] = []
     C = set(S)
     while C:
-        items, probs = predict_sequential(params, config, catalog, C, S, context)
+        items, probs = _candidate_probs(params, config, catalog, C, S, context, cache)
         if method == "greedy":
             pick = items[int(np.argmax(probs))]  # argmax returns first max: lowest index
         elif method == "sample":
@@ -145,13 +157,14 @@ def sample_baskets(
 ) -> list[frozenset]:
     """Monte Carlo draw of ``n_samples`` fixed-size baskets from one assortment.
 
-    Matches ``generate_basket(method="sample")`` in distribution, but shares a
-    single forward pass across all samples in the same candidate state, so
-    large sample counts are cheap.
+    Matches ``generate_basket(method="sample")`` in distribution, but encodes
+    S once and shares a single forward pass across all samples in the same
+    candidate state, so large sample counts are cheap.
     """
     S = frozenset(S)
     if not 1 <= size <= len(S):
         raise ValueError(f"fixed size {size} invalid for |S|={len(S)}")
+    encoded = _encode_assortment(params, config, catalog, S, context)
     states = [frozenset(S)] * n_samples
     baskets = [set() for _ in range(n_samples)]
     cache: dict[frozenset, tuple[list[int], np.ndarray]] = {}
@@ -161,7 +174,7 @@ def sample_baskets(
             groups.setdefault(C, []).append(idx)
         for C, members in groups.items():
             if C not in cache:
-                cache[C] = predict_sequential(params, config, catalog, C, S, context)
+                cache[C] = _candidate_probs(params, config, catalog, C, S, context, encoded)
             items, probs = cache[C]
             cum = np.cumsum(probs / probs.sum())
             picks = np.searchsorted(cum, rng.random(len(members)))
@@ -322,13 +335,8 @@ def _write_heatmap_svg(path, matrix: np.ndarray, names: list[str]) -> None:
 
 def export_latent_features(params, config, catalog: ItemCatalog, S, out_path) -> None:
     """Assortment-encoder latent rows for the given assortment, as CSV."""
-    batch = _obs_batch(catalog, S, S)
-    ctx = M._Ctx(params, config, False, None, False, batch)
-    with no_grad():
-        latents = M._assortment_encoder(
-            ctx, Tensor(batch.assort_features), batch.assort_mask, batch.assort_items
-        ).data[0]
-    items = batch.assort_items[0]
+    items = sorted(frozenset(S))
+    latents = _encode_assortment(params, config, catalog, S).latents.data[0]
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["item"] + [f"z_{k}" for k in range(latents.shape[1])])

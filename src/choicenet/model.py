@@ -4,6 +4,11 @@ Two encoders over padded item-feature batches: the assortment encoder embeds
 assortment interactions into latent rows, the candidates encoder additionally
 cross-attends over those latents; a shared per-item decoder maps latents to
 scalar utilities whose masked softmax over the candidates gives P(i | C, S).
+
+The assortment side (latents and the cross-attention K/V) depends on S and
+the context only, so ``encode_assortment`` computes it once per distinct
+(assortment, context) pair of a batch and ``forward`` can score any number
+of candidate sets against it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .tensor import Tensor, ShapeError, concat
+from .tensor import Tensor, ShapeError, concat, grad_enabled, no_grad
 from .data import PaddedBatch
 
 SOFTMAX = "softmax"
@@ -262,20 +267,26 @@ def attention(
     return weights.matmul(v), norm
 
 
+def _head_kv(ctx: _Ctx, prefix: str, x_kv: Tensor) -> list[tuple[Tensor, Tensor]]:
+    """Each head's keys and values of the sublayer ``prefix`` over ``x_kv``."""
+    return [
+        (x_kv.matmul(ctx.p(f"{prefix}.Wk.{k}")), x_kv.matmul(ctx.p(f"{prefix}.Wv.{k}")))
+        for k in range(ctx.config.n_heads)
+    ]
+
+
 def _multi_head_attention(
     ctx: _Ctx,
     prefix: str,
     x_q: Tensor,
-    x_kv: Tensor,
+    kv: list[tuple[Tensor, Tensor]],
     key_mask: np.ndarray,
     activation: str,
 ) -> tuple[Tensor, list[np.ndarray]]:
     cfg = ctx.config
     outs, norms = [], []
-    for k in range(cfg.n_heads):
+    for k, (kk, vv) in enumerate(kv):
         q = x_q.matmul(ctx.p(f"{prefix}.Wq.{k}"))
-        kk = x_kv.matmul(ctx.p(f"{prefix}.Wk.{k}"))
-        vv = x_kv.matmul(ctx.p(f"{prefix}.Wv.{k}"))
         out, norm = attention(q, kk, vv, key_mask, activation, cfg.scale_scores, cfg.hidden_dim)
         outs.append(out)
         norms.append(norm)
@@ -287,7 +298,7 @@ def _attn_sublayer(
     ctx: _Ctx,
     prefix: str,
     x_q: Tensor,
-    x_kv: Tensor,
+    kv: list[tuple[Tensor, Tensor]],
     key_mask: np.ndarray,
     sublayer: str,
     layer: int,
@@ -296,7 +307,7 @@ def _attn_sublayer(
     col_items,
 ) -> Tensor:
     out, norms = _multi_head_attention(
-        ctx, prefix, x_q, x_kv, key_mask, ctx.config.activation_for(sublayer)
+        ctx, prefix, x_q, kv, key_mask, ctx.config.activation_for(sublayer)
     )
     if ctx.capture:
         for head, norm in enumerate(norms):
@@ -318,23 +329,73 @@ def _ffn_sublayer(ctx: _Ctx, prefix: str, x: Tensor) -> Tensor:
 def _assortment_encoder(ctx: _Ctx, xs: Tensor, mask_s, items) -> Tensor:
     h = _embedding(ctx, xs, "assort") if ctx.config.use_embedding else xs
     for layer in range(ctx.config.n_layers):
+        prefix = f"assort.{layer}.attn"
         h = _attn_sublayer(
-            ctx, f"assort.{layer}.attn", h, h, mask_s, "assort_attn", layer,
+            ctx, prefix, h, _head_kv(ctx, prefix, h), mask_s, "assort_attn", layer,
             "assortment_self", items, items,
         )
         h = _ffn_sublayer(ctx, f"assort.{layer}.ffn", h)
     return h
 
-def _candidates_encoder(ctx: _Ctx, xc: Tensor, mask_c, xs_latent: Tensor, mask_s) -> Tensor:
+
+@dataclass
+class AssortmentCache:
+    """The assortment side of a batch, one entry per distinct (assortment,
+    context) pair: the assortment latents and each cross sublayer's per-head
+    K/V. ``rows`` gives each batch row's entry; None means row b uses entry b,
+    or, with a single entry, that every row uses it. Entries are shared only
+    by forwards that record no graph, so a shared entry is a constant."""
+
+    latents: Tensor  # G x Smax x dv
+    kv: dict[str, list[tuple[Tensor, Tensor]]]  # cross-sublayer prefix -> per-head (K, V)
+    rows: np.ndarray | None = None  # B int
+
+    def cross_kv(self, prefix: str, batch_size: int) -> list[tuple[Tensor, Tensor]]:
+        """The K/V of the cross sublayer ``prefix`` for a batch of
+        ``batch_size`` rows: gathered per row, or left to broadcast."""
+        entries = self.latents.shape[0]
+        if self.rows is None:
+            if entries not in (1, batch_size):
+                raise ShapeError(f"cache of {entries} entries for {batch_size} rows")
+            return self.kv[prefix]
+        if len(self.rows) != batch_size:
+            raise ShapeError(f"cache of {len(self.rows)} rows for {batch_size} rows")
+        return [(Tensor(k.data[self.rows]), Tensor(v.data[self.rows])) for k, v in self.kv[prefix]]
+
+
+def _encode(ctx: _Ctx) -> AssortmentCache:
+    """The assortment encoder and the cross K/V over the batch's distinct
+    (assortment, context) pairs. A training forward (its dropout draws differ
+    per row) or one that records a graph encodes every row."""
+    b = ctx.batch
+    rows = None if ctx.training or grad_enabled() else b.assort_index
+    feats, mask, items = b.assort_features, b.assort_mask, b.assort_items
+    if rows is not None:
+        firsts = np.unique(rows, return_index=True)[1]
+        feats, mask = feats[firsts], mask[firsts]
+        items = [items[i] for i in firsts]
+        if len(firsts) == 1:
+            rows = None  # one entry broadcasts to every row
+    latents = _assortment_encoder(ctx, Tensor(feats), mask, items)
+    kv = {
+        f"cand.{layer}.cross": _head_kv(ctx, f"cand.{layer}.cross", latents)
+        for layer in range(ctx.config.n_layers)
+    }
+    return AssortmentCache(latents, kv, rows)
+
+
+def _candidates_encoder(ctx: _Ctx, xc: Tensor, mask_c, cache: AssortmentCache) -> Tensor:
     b = ctx.batch
     h = _embedding(ctx, xc, "cand") if ctx.config.use_embedding else xc
     for layer in range(ctx.config.n_layers):
+        prefix = f"cand.{layer}.attn"
         h = _attn_sublayer(
-            ctx, f"cand.{layer}.attn", h, h, mask_c, "cand_attn", layer,
+            ctx, prefix, h, _head_kv(ctx, prefix, h), mask_c, "cand_attn", layer,
             "candidates_self", b.cand_items, b.cand_items,
         )
+        prefix = f"cand.{layer}.cross"
         h = _attn_sublayer(
-            ctx, f"cand.{layer}.cross", h, xs_latent, mask_s, "cross", layer,
+            ctx, prefix, h, cache.cross_kv(prefix, b.size), b.assort_mask, "cross", layer,
             "cross", b.cand_items, b.assort_items,
         )
         h = _ffn_sublayer(ctx, f"cand.{layer}.ffn", h)
@@ -351,14 +412,28 @@ def _decoder(ctx: _Ctx, x: Tensor) -> Tensor:
     return h.reshape(*x.shape[:-1])
 
 
-def _utilities(ctx: _Ctx) -> Tensor:
-    """The one forward body: both encoders and the decoder, B x Cmax."""
+def _utilities(ctx: _Ctx, cache: AssortmentCache | None) -> Tensor:
+    """The one forward body: both encoders (the assortment one unless
+    ``cache`` holds its output) and the decoder, B x Cmax."""
     b = ctx.batch
     if not b.cand_mask.any(axis=-1).all():
         raise ValueError("observation with zero candidates")
-    xs = _assortment_encoder(ctx, Tensor(b.assort_features), b.assort_mask, b.assort_items)
-    xc = _candidates_encoder(ctx, Tensor(b.cand_features), b.cand_mask, xs, b.assort_mask)
+    if cache is None:
+        cache = _encode(ctx)
+    xc = _candidates_encoder(ctx, Tensor(b.cand_features), b.cand_mask, cache)
     return _decoder(ctx, xc)
+
+
+def encode_assortment(
+    batch: PaddedBatch, params: dict[str, Tensor], config: TCNetConfig
+) -> AssortmentCache:
+    """The assortment side of ``batch`` for inference, once per distinct
+    (assortment, context) pair and without a graph. ``forward`` and
+    ``forward_utilities`` score the candidates of ``batch`` against it; a
+    cache with a single entry also serves any batch whose rows all share that
+    assortment and context."""
+    with no_grad():
+        return _encode(_Ctx(params, config, False, None, False, batch))
 
 
 def forward(
@@ -368,10 +443,12 @@ def forward(
     training: bool = False,
     rng: np.random.Generator | None = None,
     capture_attention: bool = False,
+    cache: AssortmentCache | None = None,
 ) -> ForwardResult:
-    """Full pass: probabilities over unmasked candidate positions per row."""
+    """Full pass: probabilities over unmasked candidate positions per row.
+    Without ``cache`` the assortment side is encoded here."""
     ctx = _Ctx(params, config, training, rng, capture_attention, batch)
-    utilities = _utilities(ctx)
+    utilities = _utilities(ctx, cache)
     probs = utilities.masked_softmax(batch.cand_mask)
     return ForwardResult(probs.data, utilities, probs, ctx.records)
 
@@ -382,12 +459,13 @@ def forward_utilities(
     config: TCNetConfig,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    cache: AssortmentCache | None = None,
 ) -> Tensor:
     """Decoder utilities u_i^S, B x Cmax with padded positions not masked: the
     softmax over ``cand_mask`` gives ``forward``'s probabilities; on a
     ``pad_multi_batch`` batch (candidates = assortment) their sigmoids are
     the threshold head's membership probabilities."""
-    return _utilities(_Ctx(params, config, training, rng, False, batch))
+    return _utilities(_Ctx(params, config, training, rng, False, batch), cache)
 
 
 # ---------------------------------------------------------------------------

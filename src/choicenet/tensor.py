@@ -97,6 +97,11 @@ def no_grad():
         _grad_mode.enabled = previous
 
 
+def grad_enabled() -> bool:
+    """Whether ops in this thread record a graph (False inside ``no_grad``)."""
+    return _grad_mode.enabled
+
+
 def _accumulate(t: "Tensor", g, fresh: bool = True) -> None:
     """Add ``g`` into ``t.grad``. A ``fresh`` array, which no other tensor
     holds, becomes the first gradient as it is; anything else (an upstream

@@ -237,3 +237,30 @@ class TestExitCodes:
              "--items", "a;b", "--assortment", "a;zzz"]
         )
         assert rc == EXIT_BAD_INPUT
+
+
+class TestPredictMultiStopRule:
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        path = tmp_path / "c.npz"
+        cfg = M.TCNetConfig(input_dim=3, hidden_dim=8, n_heads=2)
+        M.save_checkpoint(path, M.init_params(cfg), cfg)
+        return path
+
+    def predict(self, ckpt, items, *extra):
+        return run(["predict", "--task", "multi", "--checkpoint", ckpt,
+                    "--items", items, "--assortment", items, *extra])
+
+    def test_size_zero_is_a_size(self, ckpt, capsys):
+        assert self.predict(ckpt, "a;b;c", "--size", 0) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "fixed size 0" in err and "stop item" not in err
+
+    def test_missing_size_without_stop_item(self, ckpt, capsys):
+        assert self.predict(ckpt, "a;b;c") == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "--size is required because the catalog has no stop item" in err
+
+    def test_missing_size_stops_at_the_stop_item(self, ckpt, capsys):
+        assert self.predict(ckpt, f"a;b;{D.STOP_ITEM_NAME}") == EXIT_OK
+        assert D.STOP_ITEM_NAME not in capsys.readouterr().out

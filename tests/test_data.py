@@ -236,6 +236,25 @@ class TestBatching:
         # padded rows carry zero features
         assert (batch.cand_features[0, 3:] == 0).all()
 
+    def test_assortment_index(self):
+        cat = D.ItemCatalog.one_hot([f"i{k}" for k in range(4)])
+        S, T_ = frozenset({0, 1, 2}), frozenset({1, 3})
+
+        def obs(S, context=None):
+            return D.ChoiceObservation(D.SEQUENTIAL, S, candidates=S, choice=min(S), context=context)
+
+        def multi(S):
+            return D.ChoiceObservation(D.MULTI, S, basket=frozenset([min(S)]))
+
+        shared = D.pad_batch(cat, [obs(S), obs(T_), obs(S), obs(S)])
+        np.testing.assert_array_equal(shared.assort_index, [0, 1, 0, 0])
+        multi_batch = D.pad_multi_batch(cat, [multi(T_), multi(S), multi(T_)])
+        np.testing.assert_array_equal(multi_batch.assort_index, [0, 1, 0])
+        # one row, all rows distinct, or the same items in another context: no sharing
+        assert D.pad_batch(cat, [obs(S)]).assort_index is None
+        assert D.pad_batch(cat, [obs(S), obs(T_)]).assort_index is None
+        assert D.pad_batch(cat, [obs(S, (0.0,)), obs(S, (1.0,))]).assort_index is None
+
     def test_batched_vs_unbatched_forward(self):
         ds = D.generate_boosted_synthetic(30, seed=2)
         cfg = M.TCNetConfig(input_dim=4, hidden_dim=8, n_heads=2, dropout_rate=0.0, seed=1)

@@ -342,3 +342,116 @@ class TestAttentionExport:
         assert rows[0][0] == "item"
         assert [r[0] for r in rows[1:]] == ["w", "y", "z"]
         assert len(rows[0]) == 1 + cfg.hidden_dim
+
+
+def _reference_basket(params, cfg, catalog, S, method, stop, rng):
+    """generate_basket step by step through predict_sequential, which encodes
+    the assortment again for every candidate set."""
+    kind, arg = stop
+    chosen, C = [], set(S)
+    while C:
+        items, probs = I.predict_sequential(params, cfg, catalog, C, S)
+        if method == "greedy":
+            pick = items[int(np.argmax(probs))]
+        else:
+            pick = items[rng.choice(len(items), p=probs / probs.sum())]
+        if kind == "stop_item" and pick == arg:
+            break
+        chosen.append((pick, float(probs[items.index(pick)])))
+        C.remove(pick)
+        if kind == "fixed_size" and len(chosen) >= arg:
+            break
+        if kind == "stop_item" and C == {arg}:
+            break
+    return chosen
+
+
+def _reference_samples(params, cfg, catalog, S, n, size, rng):
+    """sample_baskets with one predict_sequential per new candidate state;
+    also returns how many states were scored."""
+    states, baskets, scored = [frozenset(S)] * n, [set() for _ in range(n)], {}
+    for _ in range(size):
+        groups = {}
+        for idx, C in enumerate(states):
+            groups.setdefault(C, []).append(idx)
+        for C, members in groups.items():
+            if C not in scored:
+                scored[C] = I.predict_sequential(params, cfg, catalog, C, S)
+            items, probs = scored[C]
+            picks = np.searchsorted(np.cumsum(probs / probs.sum()), rng.random(len(members)))
+            for idx, k in zip(members, picks):
+                baskets[idx].add(items[int(k)])
+                states[idx] = states[idx] - {items[int(k)]}
+    return [frozenset(b) for b in baskets], len(scored)
+
+
+class TestEncodeOnce:
+    """Generation and sampling encode S once and give what scoring each
+    candidate set on its own gives."""
+
+    @pytest.fixture(scope="class")
+    def net6(self):
+        rng = np.random.default_rng(31)
+        catalog = D.ItemCatalog([f"i{k}" for k in range(6)], rng.normal(size=(6, 3)))
+        cfg = M.TCNetConfig(input_dim=3, hidden_dim=8, n_heads=2, n_layers=2, seed=4)
+        return M.init_params(cfg), cfg, catalog
+
+    @pytest.mark.parametrize(
+        "method, stop",
+        [("greedy", ("fixed_size", 4)), ("greedy", ("stop_item", 5)),
+         ("sample", ("fixed_size", 5)), ("sample", ("stop_item", 2))],
+    )
+    def test_generate_matches_step_by_step_reference(self, net6, method, stop):
+        params, cfg, catalog = net6
+        S = frozenset({0, 1, 2, 3, 5})
+        for seed in range(3):
+            pred = I.generate_basket(
+                params, cfg, catalog, S, method=method, stop=stop,
+                rng=np.random.default_rng(seed),
+            )
+            ref = _reference_basket(
+                params, cfg, catalog, S, method, stop, np.random.default_rng(seed)
+            )
+            assert [i for i, _ in pred.trace] == [i for i, _ in ref]
+            assert pred.basket == frozenset(i for i, _ in ref)
+            np.testing.assert_allclose(
+                [p for _, p in pred.trace], [p for _, p in ref], rtol=0, atol=1e-12
+            )
+
+    def test_sample_baskets_match_reference(self, net6):
+        params, cfg, catalog = net6
+        S = frozenset({0, 1, 2, 4, 5})
+        got = I.sample_baskets(params, cfg, catalog, S, 400, 3, np.random.default_rng(8))
+        ref, _ = _reference_samples(params, cfg, catalog, S, 400, 3, np.random.default_rng(8))
+        assert got == ref
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"encoder": 0, "forward": 0}
+        encoder, forward = M._assortment_encoder, M.forward
+
+        def counting_encoder(*a, **k):
+            calls["encoder"] += 1
+            return encoder(*a, **k)
+
+        def counting_forward(*a, **k):
+            calls["forward"] += 1
+            return forward(*a, **k)
+
+        monkeypatch.setattr(M, "_assortment_encoder", counting_encoder)
+        monkeypatch.setattr(M, "forward", counting_forward)
+        return calls
+
+    def test_size_k_basket_encodes_once(self, net6, counted):
+        params, cfg, catalog = net6
+        I.generate_basket(params, cfg, catalog, {0, 1, 2, 3, 4, 5}, stop=("fixed_size", 4))
+        assert counted == {"encoder": 1, "forward": 4}
+
+    def test_sampling_encodes_once_and_scores_each_state_once(self, net6, counted):
+        params, cfg, catalog = net6
+        S = {0, 1, 2, 3, 4, 5}
+        _, states = _reference_samples(params, cfg, catalog, S, 200, 3, np.random.default_rng(0))
+        counted.update(encoder=0, forward=0)
+        I.sample_baskets(params, cfg, catalog, S, 200, 3, np.random.default_rng(0))
+        assert counted == {"encoder": 1, "forward": states}
+        assert states > 3

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from choicenet import data as D
 from choicenet import model as M
-from choicenet.tensor import Tensor, no_grad
+from choicenet.tensor import ShapeError, Tensor, no_grad
 
 
 def seq_obs(assortment, candidates, choice):
@@ -338,3 +340,142 @@ class TestConfigValidation:
             cross_activation=M.ONE_PLUS_RELU,
         )
         assert M.TCNetConfig.from_json(cfg.to_json()) == cfg
+
+
+def _unshared(batch):
+    """The same batch with every row encoded on its own."""
+    return dataclasses.replace(batch, assort_index=None)
+
+
+class TestAssortmentCache:
+    """Encoding each distinct (assortment, context) pair once changes no
+    output beyond 1e-12 and no gradient."""
+
+    @staticmethod
+    def _boost_net():
+        cfg = M.TCNetConfig(input_dim=4, hidden_dim=8, n_heads=2, n_layers=2, seed=5)
+        return cfg, M.init_params(cfg)
+
+    def _check_agrees(self, batch, cfg, params):
+        plain = _unshared(batch)
+        with no_grad():
+            ref = M.forward(plain, params, cfg)
+            ref_u = M.forward_utilities(plain, params, cfg).data
+            cache = M.encode_assortment(batch, params, cfg)
+            for res in (M.forward(batch, params, cfg), M.forward(batch, params, cfg, cache=cache)):
+                np.testing.assert_allclose(res.probs, ref.probs, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(res.utilities.data, ref.utilities.data, rtol=0, atol=1e-12)
+            for u in (M.forward_utilities(batch, params, cfg),
+                      M.forward_utilities(batch, params, cfg, cache=cache)):
+                np.testing.assert_allclose(u.data, ref_u, rtol=0, atol=1e-12)
+        return cache
+
+    def test_boost_batch_mixing_assortments_and_candidate_sizes(self):
+        cfg, params = self._boost_net()
+        ds = D.generate_boosted_synthetic(300, seed=11)
+        batch = D.pad_batch(ds.catalog, ds.observations)
+        assert len({len(o.candidates) for o in ds.observations}) > 2
+        cache = self._check_agrees(batch, cfg, params)
+        distinct = len({o.assortment for o in ds.observations})
+        assert 1 < distinct < batch.size
+        assert cache.latents.shape[0] == distinct and len(cache.rows) == batch.size
+
+    def test_multi_batch(self):
+        cfg, params = self._boost_net()
+        ds = D.generate_boosted_multi(200, seed=4)
+        batch = D.pad_multi_batch(ds.catalog, ds.observations)
+        assert batch.assort_index is not None
+        self._check_agrees(batch, cfg, params)
+
+    def test_one_shared_assortment_encodes_one_row(self, monkeypatch):
+        cfg, params = self._boost_net()
+        S = frozenset(range(4))
+        obs = [seq_obs(S, S - {i}, min(S - {i})) for i in range(4)] + [seq_obs(S, S, 0)]
+        batch = D.pad_batch(D.ItemCatalog.one_hot(list("abcd")), obs)
+        self._check_agrees(batch, cfg, params)
+        encoded = []
+        encoder = M._assortment_encoder
+        monkeypatch.setattr(
+            M, "_assortment_encoder", lambda ctx, xs, *a: encoded.append(xs.shape[0]) or encoder(ctx, xs, *a)
+        )
+        with no_grad():
+            M.forward_utilities(batch, params, cfg)
+        M.forward(batch, params, cfg, training=True, rng=np.random.default_rng(0))
+        M.forward(batch, params, cfg)
+        # training, or recording a graph, encodes every row
+        assert encoded == [1, batch.size, batch.size]
+
+    def test_context_separates_entries(self):
+        cat = D.ItemCatalog.one_hot(list("abc"))
+        S = frozenset(range(3))
+        obs = [
+            D.ChoiceObservation(D.SEQUENTIAL, S, candidates=S, choice=0, context=ctx)
+            for ctx in ((0.1,), (0.2,), (0.1,))
+        ]
+        batch = D.pad_batch(cat, obs)
+        np.testing.assert_array_equal(batch.assort_index, [0, 1, 0])
+        cfg = M.TCNetConfig(input_dim=4, hidden_dim=8, n_heads=2, seed=0)
+        params = M.init_params(cfg)
+        with no_grad():
+            cache = M.encode_assortment(batch, params, cfg)
+        assert cache.latents.shape[0] == 2
+        assert not np.allclose(cache.latents.data[0], cache.latents.data[1])
+        self._check_agrees(batch, cfg, params)
+
+    def test_cache_must_fit_the_batch(self):
+        cfg, params = self._boost_net()
+        ds = D.generate_boosted_synthetic(40, seed=2)
+        batch = D.pad_batch(ds.catalog, ds.observations)
+        other = D.pad_batch(ds.catalog, ds.observations[:7])
+        with no_grad():
+            cache = M.encode_assortment(batch, params, cfg)
+            with pytest.raises(ShapeError):
+                M.forward(other, params, cfg, cache=cache)
+
+    def test_encoded_assortment_is_a_constant_under_grad(self):
+        cfg, params = self._boost_net()
+        S = frozenset(range(4))
+        obs = [seq_obs(S, S - {i}, min(S - {i})) for i in range(4)]
+        batch = D.pad_batch(D.ItemCatalog.one_hot(list("abcd")), obs)
+        cache = M.encode_assortment(batch, params, cfg)
+        assert cache.latents.shape[0] == 1 and not cache.latents.requires_grad
+        for p in params.values():
+            p.zero_grad()
+        M.forward(batch, params, cfg, cache=cache).loss_input.sum().backward()
+        assert params["cand.0.cross.Wq.0"].grad.any()
+        assert not params["assort.0.attn.Wq.0"].grad.any()
+
+    @pytest.mark.parametrize("shared", ["one", "some"])
+    def test_gradients_match_finite_differences(self, shared):
+        rng = np.random.default_rng(21)
+        cat = D.ItemCatalog([f"i{k}" for k in range(5)], rng.normal(size=(5, 4)))
+        S1, S2 = frozenset({0, 1, 2, 3}), frozenset({1, 2, 4})
+        sets = [(S1, {0, 2}), (S1, {1, 2, 3}), (S1, {3})]
+        if shared == "some":
+            sets += [(S2, {1, 4}), (S2, {2})]
+        obs = [seq_obs(S, C, min(C)) for S, C in sets]
+        batch = D.pad_batch(cat, obs)
+        assert batch.assort_index is not None
+        cfg = M.TCNetConfig(input_dim=4, hidden_dim=4, n_heads=2, seed=2, decoder_dims=(3,))
+        params = M.init_params(cfg)
+        weights = rng.normal(size=batch.cand_mask.shape) * batch.cand_mask
+
+        def loss():
+            probs = M.forward(batch, params, cfg).loss_input
+            return (probs * Tensor(weights)).sum()
+
+        for p in params.values():
+            p.zero_grad()
+        loss().backward()
+        h = 1e-6
+        for name, p in params.items():
+            flat, grad = p.data.reshape(-1), p.grad.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                fp = loss().item()
+                flat[i] = orig - h
+                fm = loss().item()
+                flat[i] = orig
+                fd = (fp - fm) / (2 * h)
+                assert abs(fd - grad[i]) <= 1e-6 * max(1.0, abs(fd)), (name, i, fd, grad[i])

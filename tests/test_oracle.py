@@ -114,12 +114,8 @@ class TestConstructiveNetwork:
         ctx = M._Ctx(params, config, False, None, False, batch)
         from choicenet.tensor import Tensor
 
-        xs = M._assortment_encoder(
-            ctx, Tensor(batch.assort_features), batch.assort_mask, batch.assort_items
-        )
-        xc = M._candidates_encoder(
-            ctx, Tensor(batch.cand_features), batch.cand_mask, xs, batch.assort_mask
-        )
+        cache = M.encode_assortment(batch, params, config)
+        xc = M._candidates_encoder(ctx, Tensor(batch.cand_features), batch.cand_mask, cache)
         # row for focal item 0: e_0 + 1_C + 1_S
         np.testing.assert_allclose(xc.data[0][0], [3.0, 2.0, 1.0, 0.0], atol=1e-12)
 
