@@ -63,17 +63,18 @@ def cmd_train(args) -> int:
     out_dir = os.path.join(_out_root(args), args.run_id)
     os.makedirs(out_dir, exist_ok=True)
 
+    # one split for every repeat, so their validation losses compare; only
+    # the training seed varies
+    splits = _reduce_splits(D.split(ds, seed=args.seed), args.task, args.seed)
+    objective = "binary_ce" if args.task == "multi" else "ce"
     reports = []
     best_val, best_artifacts = np.inf, None
     for rep in range(args.repeats):
         seed = args.seed + rep
-        splits = D.split(ds, seed=seed)
-        splits = _reduce_splits(splits, args.task, seed)
         mc = _model_config(args, D.effective_feature_dim(splits[0]))
         tc = _train_config(args)
         tc.seed = seed
         mc.seed = seed
-        objective = "binary_ce" if args.task == "multi" else "ce"
         params, report = T.train(mc, splits, tc, objective=objective)
         metric = _test_metric(params, mc, splits[2], args.task, args.threshold)
         report.test_metrics.update(metric)

@@ -440,26 +440,6 @@ def boosted_conditional_entropy(boost_kind: str, boost_value: float = 100.0) -> 
     return float(total)
 
 
-def boosted_conditional_choice_prob(
-    target: int, condition, boost_kind: str, boost_value: float = 100.0
-) -> float:
-    """Exact P(choice == target | condition(C, S)) under the generator."""
-    num = den = 0.0
-    for bits_s in range(8):
-        S = frozenset({_L} | {i for i in (_A, _AP, _B) if bits_s >> i & 1})
-        inner = sorted(S - {_L})
-        for bits_c in range(1 << len(inner)):
-            C = frozenset({_L} | {it for k, it in enumerate(inner) if bits_c >> k & 1})
-            w = 0.5 ** 3 * 0.5 ** len(inner)
-            if not condition(C, S):
-                continue
-            items, probs = _boost_choice_probs(C, S, boost_kind, boost_value)
-            den += w
-            if target in C:
-                num += w * probs[items.index(target)]
-    return num / den if den else 0.0
-
-
 # Multi-choice variant: utilities depend on S only, baskets are generated by
 # the sequential model until L ("leave") is drawn; L never enters the basket.
 MULTI_BOOST_UTILITIES = {_AP: 2.5, _B: -2.5, _L: 0.0}

@@ -18,11 +18,17 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .tensor import Tensor, ShapeError, concat, grad_enabled, no_grad
+from .tensor import (
+    ONE_PLUS_RELU,
+    SOFTMAX,
+    ShapeError,
+    Tensor,
+    attention_heads,
+    concat,
+    grad_enabled,
+    no_grad,
+)
 from .data import PaddedBatch
-
-SOFTMAX = "softmax"
-ONE_PLUS_RELU = "one_plus_relu"
 
 
 @dataclass
@@ -236,6 +242,19 @@ def _embedding(ctx: _Ctx, x: Tensor, enc: str) -> Tensor:
     return ctx.drop(h.matmul(ctx.p(f"{enc}.embed.W2")).add_bias(ctx.p(f"{enc}.embed.b2")))
 
 
+def _score_scale(scale: bool, scale_dim: int) -> float:
+    return 1.0 / np.sqrt(scale_dim) if scale else 1.0
+
+
+def _row_normalized(weights: np.ndarray, activation: str) -> np.ndarray:
+    """Attention weights with every row summing to 1 over its unmasked keys
+    (an all-zero row stays 0), as attention capture reports them."""
+    if activation == SOFTMAX:
+        return weights
+    rowsum = weights.sum(axis=-1, keepdims=True)
+    return np.divide(weights, rowsum, out=np.zeros_like(weights), where=rowsum > 0)
+
+
 def attention(
     q: Tensor,
     k: Tensor,
@@ -245,60 +264,36 @@ def attention(
     scale: bool,
     scale_dim: int,
 ) -> tuple[Tensor, np.ndarray]:
-    """phi(Q K^T) V with masked keys excluded; returns output and the
-    row-normalized score matrix (for capture)."""
+    """Single-head phi(Q K^T) V with masked keys excluded, through the same
+    op as the model's sublayers; returns output and the row-normalized score
+    matrix (for capture)."""
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"attention dims {q.shape} vs {k.shape}")
-    scores = q.matmul(k.transpose_last())
-    c = 1.0 / np.sqrt(scale_dim) if scale else 1.0
-    km_rows = np.asarray(key_mask, dtype=bool)[..., None, :]
-    if activation == SOFTMAX:
-        weights = scores.masked_softmax(km_rows, scale=c)
-        norm = weights.data
-    elif activation == ONE_PLUS_RELU:
-        if scale:
-            scores = scores.scale(c)
-        km_rows = np.broadcast_to(km_rows, scores.shape)
-        weights = scores.one_plus_relu() * Tensor(km_rows.astype(np.float64))
-        rowsum = weights.data.sum(axis=-1, keepdims=True)
-        norm = np.divide(weights.data, rowsum, out=np.zeros_like(weights.data), where=rowsum > 0)
-    else:
-        raise ValueError(f"unknown attention activation {activation!r}")
-    return weights.matmul(v), norm
+    out, weights = attention_heads(
+        q, concat([k, v]), key_mask, 1, activation, _score_scale(scale, scale_dim)
+    )
+    return out, _row_normalized(weights, activation)[:, 0]
 
 
-def _head_kv(ctx: _Ctx, prefix: str, x_kv: Tensor) -> list[tuple[Tensor, Tensor]]:
-    """Each head's keys and values of the sublayer ``prefix`` over ``x_kv``."""
-    return [
-        (x_kv.matmul(ctx.p(f"{prefix}.Wk.{k}")), x_kv.matmul(ctx.p(f"{prefix}.Wv.{k}")))
-        for k in range(ctx.config.n_heads)
-    ]
+def _projection(ctx: _Ctx, prefix: str, names: tuple[str, ...]) -> Tensor:
+    """The per-head weights ``names`` of the sublayer ``prefix`` side by side
+    (every head of the first name, then every head of the next), so one
+    matmul projects all heads."""
+    h = ctx.config.n_heads
+    return concat([ctx.p(f"{prefix}.{name}.{k}") for name in names for k in range(h)])
 
 
-def _multi_head_attention(
-    ctx: _Ctx,
-    prefix: str,
-    x_q: Tensor,
-    kv: list[tuple[Tensor, Tensor]],
-    key_mask: np.ndarray,
-    activation: str,
-) -> tuple[Tensor, list[np.ndarray]]:
-    cfg = ctx.config
-    outs, norms = [], []
-    for k, (kk, vv) in enumerate(kv):
-        q = x_q.matmul(ctx.p(f"{prefix}.Wq.{k}"))
-        out, norm = attention(q, kk, vv, key_mask, activation, cfg.scale_scores, cfg.hidden_dim)
-        outs.append(out)
-        norms.append(norm)
-    merged = outs[0] if cfg.n_heads == 1 else concat(outs, axis=-1)
-    return merged, norms
+def _kv(ctx: _Ctx, prefix: str, x_kv: Tensor) -> Tensor:
+    """Every head's keys, then every head's values, of the sublayer
+    ``prefix`` over ``x_kv``."""
+    return x_kv.matmul(_projection(ctx, prefix, ("Wk", "Wv")))
 
 
 def _attn_sublayer(
     ctx: _Ctx,
     prefix: str,
     x_q: Tensor,
-    kv: list[tuple[Tensor, Tensor]],
+    kv: Tensor,
     key_mask: np.ndarray,
     sublayer: str,
     layer: int,
@@ -306,14 +301,20 @@ def _attn_sublayer(
     row_items,
     col_items,
 ) -> Tensor:
-    out, norms = _multi_head_attention(
-        ctx, prefix, x_q, kv, key_mask, ctx.config.activation_for(sublayer)
+    cfg = ctx.config
+    activation = cfg.activation_for(sublayer)
+    q = x_q.matmul(_projection(ctx, prefix, ("Wq",)))
+    out, weights = attention_heads(
+        q, kv, key_mask, cfg.n_heads, activation, _score_scale(cfg.scale_scores, cfg.hidden_dim)
     )
     if ctx.capture:
-        for head, norm in enumerate(norms):
-            ctx.records.append(AttentionRecord(layer, head, kind, norm, row_items, col_items))
+        norms = _row_normalized(weights, activation)
+        for head in range(cfg.n_heads):
+            ctx.records.append(
+                AttentionRecord(layer, head, kind, norms[:, head], row_items, col_items)
+            )
     out = ctx.drop(out)
-    if ctx.config.residual_for(sublayer):
+    if cfg.residual_for(sublayer):
         out = out + x_q
     return _maybe_norm(ctx, out, prefix)
 
@@ -331,7 +332,7 @@ def _assortment_encoder(ctx: _Ctx, xs: Tensor, mask_s, items) -> Tensor:
     for layer in range(ctx.config.n_layers):
         prefix = f"assort.{layer}.attn"
         h = _attn_sublayer(
-            ctx, prefix, h, _head_kv(ctx, prefix, h), mask_s, "assort_attn", layer,
+            ctx, prefix, h, _kv(ctx, prefix, h), mask_s, "assort_attn", layer,
             "assortment_self", items, items,
         )
         h = _ffn_sublayer(ctx, f"assort.{layer}.ffn", h)
@@ -341,16 +342,17 @@ def _assortment_encoder(ctx: _Ctx, xs: Tensor, mask_s, items) -> Tensor:
 @dataclass
 class AssortmentCache:
     """The assortment side of a batch, one entry per distinct (assortment,
-    context) pair: the assortment latents and each cross sublayer's per-head
-    K/V. ``rows`` gives each batch row's entry; None means row b uses entry b,
-    or, with a single entry, that every row uses it. Entries are shared only
-    by forwards that record no graph, so a shared entry is a constant."""
+    context) pair: the assortment latents and each cross sublayer's K/V
+    (every head's keys, then every head's values). ``rows`` gives each batch
+    row's entry; None means row b uses entry b, or, with a single entry, that
+    every row uses it. Entries are shared only by forwards that record no
+    graph, so a shared entry is a constant."""
 
     latents: Tensor  # G x Smax x dv
-    kv: dict[str, list[tuple[Tensor, Tensor]]]  # cross-sublayer prefix -> per-head (K, V)
+    kv: dict[str, Tensor]  # cross-sublayer prefix -> G x Smax x 2dv
     rows: np.ndarray | None = None  # B int
 
-    def cross_kv(self, prefix: str, batch_size: int) -> list[tuple[Tensor, Tensor]]:
+    def cross_kv(self, prefix: str, batch_size: int) -> Tensor:
         """The K/V of the cross sublayer ``prefix`` for a batch of
         ``batch_size`` rows: gathered per row, or left to broadcast."""
         entries = self.latents.shape[0]
@@ -360,7 +362,7 @@ class AssortmentCache:
             return self.kv[prefix]
         if len(self.rows) != batch_size:
             raise ShapeError(f"cache of {len(self.rows)} rows for {batch_size} rows")
-        return [(Tensor(k.data[self.rows]), Tensor(v.data[self.rows])) for k, v in self.kv[prefix]]
+        return Tensor(self.kv[prefix].data[self.rows])
 
 
 def _encode(ctx: _Ctx) -> AssortmentCache:
@@ -378,7 +380,7 @@ def _encode(ctx: _Ctx) -> AssortmentCache:
             rows = None  # one entry broadcasts to every row
     latents = _assortment_encoder(ctx, Tensor(feats), mask, items)
     kv = {
-        f"cand.{layer}.cross": _head_kv(ctx, f"cand.{layer}.cross", latents)
+        f"cand.{layer}.cross": _kv(ctx, f"cand.{layer}.cross", latents)
         for layer in range(ctx.config.n_layers)
     }
     return AssortmentCache(latents, kv, rows)
@@ -390,7 +392,7 @@ def _candidates_encoder(ctx: _Ctx, xc: Tensor, mask_c, cache: AssortmentCache) -
     for layer in range(ctx.config.n_layers):
         prefix = f"cand.{layer}.attn"
         h = _attn_sublayer(
-            ctx, prefix, h, _head_kv(ctx, prefix, h), mask_c, "cand_attn", layer,
+            ctx, prefix, h, _kv(ctx, prefix, h), mask_c, "cand_attn", layer,
             "candidates_self", b.cand_items, b.cand_items,
         )
         prefix = f"cand.{layer}.cross"

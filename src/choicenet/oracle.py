@@ -108,12 +108,6 @@ def tabular_probability(model: TabularSequentialModel, i: int, C, S) -> float:
     return float(e[cand.index(i)] / e.sum())
 
 
-def tabular_entropy(model: TabularSequentialModel, C, S) -> float:
-    cand = items_of(C if isinstance(C, int) else mask_of(C))
-    p = np.array([tabular_probability(model, i, C, S) for i in cand])
-    return float(-(p * np.log(p)).sum())
-
-
 def exact_basket_probability(model: TabularSequentialModel, B, S) -> float:
     """P(B | S) as the sum over orderings of sequential-probability products,
     with candidates shrinking as items are drawn (fixed basket size |B|)."""

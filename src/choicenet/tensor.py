@@ -410,6 +410,96 @@ class Tensor:
                 node._backward(node.grad)
 
 
+SOFTMAX = "softmax"
+ONE_PLUS_RELU = "one_plus_relu"
+
+
+def attention_heads(
+    q: Tensor,
+    kv: Tensor,
+    key_mask: np.ndarray,
+    n_heads: int,
+    activation: str,
+    scale: float = 1.0,
+) -> tuple[Tensor, np.ndarray]:
+    """Every head's attention ``phi(scale * Q_k K_k^T) V_k`` of one sublayer
+    as a single op.
+
+    ``q`` is B x N x h*dk with the heads side by side. ``kv`` is G x M x
+    (h*dk + h*dv): every head's keys, then every head's values; G is B, or 1
+    for one entry that serves every row. ``key_mask`` (B or 1) x M marks the
+    keys each row attends to. With ``SOFTMAX`` a head's weights are the
+    softmax of its scaled scores over the unmasked keys; with
+    ``ONE_PLUS_RELU`` they are ``1 + relu`` of them on unmasked keys and 0
+    elsewhere, not normalized.
+
+    Returns the B x N x h*dv output, heads side by side, and the B x h x N x M
+    weights. Only the weights (and, for ``ONE_PLUS_RELU``, which unmasked
+    scores are positive) are kept for the backward. Every head's scores and
+    the output are checked to be finite.
+    """
+    bsz, n, dq = q.shape
+    entries, m, width = kv.shape
+    h = int(n_heads)
+    if h < 1 or dq % h or width <= dq or (width - dq) % h or entries not in (1, bsz):
+        raise ShapeError(f"attention_heads: q {q.shape} vs kv {kv.shape} with {h} heads")
+    dk, dv = dq // h, (width - dq) // h
+    keys = np.asarray(key_mask, dtype=bool)[:, None, None, :]
+    scale = float(scale)
+    qh = q.data.reshape(bsz, n, h, dk).transpose(0, 2, 1, 3)
+    kh = kv.data[..., :dq].reshape(entries, m, h, dk).transpose(0, 2, 1, 3)
+    vh = kv.data[..., dq:].reshape(entries, m, h, dv).transpose(0, 2, 1, 3)
+
+    w = np.matmul(qh, kh.swapaxes(-1, -2))  # B x h x N x M scores
+    _check_finite(w, "attention_heads")
+    if scale != 1.0:
+        w *= scale
+    if activation == SOFTMAX:
+        if not keys.any(axis=-1).all():
+            raise DegenerateRowError("attention_heads: fully-masked row")
+        w += np.where(keys, 0.0, -np.inf)
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        live = None
+    elif activation == ONE_PLUS_RELU:
+        live = (w > 0) & keys
+        np.maximum(w, 0.0, out=w)
+        w += 1.0
+        w *= keys
+    else:
+        raise ValueError(f"unknown attention activation {activation!r}")
+    out = np.matmul(w, vh).transpose(0, 2, 1, 3).reshape(bsz, n, h * dv)
+
+    def backward(dy, tq=q, tkv=kv):
+        dyh = dy.reshape(bsz, n, h, dv).transpose(0, 2, 1, 3)
+        g = np.matmul(dyh, vh.swapaxes(-1, -2))  # d weights
+        if live is None:
+            # masked entries of w are exactly 0, so they get no gradient
+            g -= (g * w).sum(axis=-1, keepdims=True)
+            g *= w
+        else:
+            g *= live
+        if scale != 1.0:
+            g *= scale  # g is now d scores
+        if tq.requires_grad:
+            dqh = np.matmul(g, kh)
+            _accumulate(tq, dqh.transpose(0, 2, 1, 3).reshape(bsz, n, dq))
+        if tkv.requires_grad:
+            dkh = np.matmul(qh.swapaxes(-1, -2), g)  # B x h x dk x M
+            dvh = np.matmul(w.swapaxes(-1, -2), dyh)  # B x h x M x dv
+            dkv = np.concatenate(
+                [dkh.transpose(0, 3, 1, 2).reshape(bsz, m, dq),
+                 dvh.transpose(0, 2, 1, 3).reshape(bsz, m, h * dv)],
+                axis=-1,
+            )
+            if entries < bsz:
+                dkv = dkv.sum(axis=0, keepdims=True)
+            _accumulate(tkv, dkv)
+
+    return Tensor._from_op(out, (q, kv), backward, "attention_heads"), w
+
+
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     """Concatenate along ``axis`` with gradient routed back to each slice."""
     datas = [t.data for t in tensors]

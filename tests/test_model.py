@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from choicenet import data as D
+from choicenet import inference as I
 from choicenet import model as M
 from choicenet.tensor import ShapeError, Tensor, no_grad
 
@@ -76,6 +77,76 @@ class TestAttentionPrimitive:
         ks = Tensor(k.data / np.sqrt(2.0))
         _, norm_manual = M.attention(qs, ks, v, np.ones((1, 2), bool), M.SOFTMAX, False, 4)
         np.testing.assert_allclose(norm_scaled, norm_manual, atol=1e-12)
+
+
+# attention captured from a fixed net and input, computed by one op per
+# attention head; the sublayers must reproduce them (kind, head) -> rows
+PINNED_ATTENTION = {
+    ("assortment_self", 0): [
+        [0.4994347140340646, 0.2146306433738699, 0.2859346425920655],
+        [0.5954599227977416, 0.1725407015041707, 0.2319993756980875],
+        [0.3534423225843264, 0.31551270296912726, 0.3310449744465463]],
+    ("assortment_self", 1): [
+        [0.28813458588186847, 0.47576090218377215, 0.23610451193435927],
+        [0.3357479110869689, 0.4627964293645355, 0.20145565954849556],
+        [0.38764302958187774, 0.22563903039243535, 0.38671794002568693]],
+    ("candidates_self", 0): [
+        [1 / 3, 1 / 3, 1 / 3],
+        [0.2967258599011931, 0.4065482801976139, 0.2967258599011931],
+        [1 / 3, 1 / 3, 1 / 3]],
+    ("candidates_self", 1): [
+        [0.3950503862966528, 0.21405779184975168, 0.3908918218535955],
+        [1 / 3, 1 / 3, 1 / 3],
+        [0.4594282524693911, 0.09337172715997051, 0.44720002037063833]],
+    ("cross", 0): [
+        [0.43227091262303696, 0.3814263492768753, 0.1863027381000877],
+        [0.3892056727302089, 0.3496364780619646, 0.2611578492078265],
+        [0.4456747110502386, 0.3899884633930942, 0.16433682555666734]],
+    ("cross", 1): [
+        [0.3972761294912777, 0.3582715163609611, 0.24445235414776115],
+        [0.38644664240975707, 0.38872934524769653, 0.2248240123425465],
+        [0.3975482495714354, 0.35759618218666067, 0.244855568241904]],
+}
+
+
+class TestAttentionSublayers:
+    def test_captured_scores_match_per_head_attention(self):
+        S = frozenset(range(3))
+        batch = D.pad_batch(D.ItemCatalog.one_hot(list("abc")), [seq_obs(S, S, 0)])
+        # softmax everywhere but the candidates' self-attention, which is
+        # 1 + relu and so reported row-normalized
+        cfg = M.TCNetConfig(
+            input_dim=3, hidden_dim=4, n_heads=2, seed=7, cand_attn_activation=M.ONE_PLUS_RELU
+        )
+        params = M.init_params(cfg)
+        for name, p in params.items():
+            if ".W" in name:
+                p.data *= 1.5
+        with no_grad():
+            records = M.forward(batch, params, cfg, capture_attention=True).records
+        assert [(r.kind, r.head) for r in records] == list(PINNED_ATTENTION)
+        for r in records:
+            np.testing.assert_allclose(r.scores[0], PINNED_ATTENTION[r.kind, r.head], rtol=0, atol=1e-12)
+
+    def test_one_row_query_ops_do_not_grow_with_heads(self, monkeypatch):
+        # each sublayer projects every head at once and runs one attention
+        # op, so a query records as many ops at 4 heads as at 1
+        ops = []
+        from_op = Tensor._from_op
+        monkeypatch.setattr(
+            Tensor, "_from_op", staticmethod(lambda *a: ops.append(a[-1]) or from_op(*a))
+        )
+        cat = D.ItemCatalog.one_hot([f"i{k}" for k in range(6)])
+        S = frozenset(range(6))
+        counts = {}
+        for h in (1, 2, 4):
+            cfg = M.TCNetConfig(input_dim=6, hidden_dim=8, n_heads=h, seed=0)
+            params = M.init_params(cfg)
+            ops.clear()
+            I.predict_sequential(params, cfg, cat, S - {0}, S)
+            counts[h] = len(ops)
+        assert counts[1] == counts[2] == counts[4]
+        assert ops.count("attention_heads") == 3
 
 
 class TestForwardBasics:

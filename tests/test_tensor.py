@@ -5,10 +5,13 @@ import pytest
 
 from choicenet import tensor as T
 from choicenet.tensor import (
+    ONE_PLUS_RELU,
+    SOFTMAX,
     DegenerateRowError,
     NonFiniteError,
     ShapeError,
     Tensor,
+    attention_heads,
     concat,
     no_grad,
 )
@@ -417,3 +420,140 @@ def test_determinism_same_seed_bit_identical():
 def test_nan_input_rejected():
     with pytest.raises(NonFiniteError):
         Tensor([np.inf, 1.0]).relu()
+
+
+def per_head_attention(qs, ks, vs, key_mask, activation, scale):
+    """Each head through the separate ops (matmul, transpose_last,
+    masked_softmax or one_plus_relu), outputs concatenated: the reference
+    for ``attention_heads``."""
+    keys = np.asarray(key_mask, bool)[:, None, :]
+    outs, weights = [], []
+    for q, k, v in zip(qs, ks, vs):
+        scores = q.matmul(k.transpose_last())
+        if activation == SOFTMAX:
+            w = scores.masked_softmax(keys, scale=scale)
+        else:
+            mask = Tensor(np.broadcast_to(keys, scores.shape).astype(np.float64))
+            w = scores.scale(scale).one_plus_relu() * mask
+        outs.append(w.matmul(v))
+        weights.append(w.data)
+    return concat(outs, axis=-1), np.stack(weights, axis=1)
+
+
+class TestAttentionHeads:
+    B, N, M, DK, DV = 3, 4, 5, 2, 3
+
+    def heads(self, rng, h, entries=None):
+        """Per-head leaves: q (B x N x dk each), then k and v over
+        ``entries`` (default B) key sets."""
+        entries = entries or self.B
+        qs = [Tensor(rng.normal(size=(self.B, self.N, self.DK)), requires_grad=True) for _ in range(h)]
+        ks = [Tensor(rng.normal(size=(entries, self.M, self.DK)), requires_grad=True) for _ in range(h)]
+        vs = [Tensor(rng.normal(size=(entries, self.M, self.DV)), requires_grad=True) for _ in range(h)]
+        return qs, ks, vs
+
+    def key_mask(self):
+        mask = np.ones((self.B, self.M), bool)
+        mask[0, 3:] = False
+        mask[2, 0] = False
+        return mask
+
+    @pytest.mark.parametrize("activation", [SOFTMAX, ONE_PLUS_RELU])
+    @pytest.mark.parametrize("h", [1, 2, 4])
+    @pytest.mark.parametrize("entries", [None, 1])
+    def test_matches_per_head_ops(self, activation, h, entries):
+        rng = np.random.default_rng(h)
+        qs, ks, vs = self.heads(rng, h, entries)
+        mask = self.key_mask()
+        c = Tensor(rng.normal(size=(self.B, self.N, h * self.DV)))
+        # the reference sees one key set per row, its gradients summed back
+        rows = [Tensor(np.repeat(t.data, self.B // t.shape[0], axis=0), requires_grad=True)
+                for t in (*ks, *vs)]
+        ref_out, ref_w = per_head_attention(qs, rows[:h], rows[h:], mask, activation, 0.4)
+        (ref_out * c).sum().backward()
+        ref_grads = [t.grad.copy() for t in qs]
+        ref_grads += [r.grad.sum(axis=0, keepdims=True) if t.shape[0] == 1 else r.grad
+                      for t, r in zip((*ks, *vs), rows)]
+        for t in (*qs, *ks, *vs):
+            t.zero_grad()
+        out, w = attention_heads(concat(qs), concat([*ks, *vs]), mask, h, activation, 0.4)
+        np.testing.assert_allclose(out.data, ref_out.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-12)
+        (out * c).sum().backward()
+        for t, g in zip((*qs, *ks, *vs), ref_grads):
+            np.testing.assert_allclose(t.grad, g, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("activation", [SOFTMAX, ONE_PLUS_RELU])
+    @pytest.mark.parametrize("h", [1, 2, 4])
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_gradients_match_finite_differences(self, activation, h, scale):
+        rng = np.random.default_rng(10 * h + int(scale == 1.0))
+        q = Tensor(rng.normal(size=(self.B, self.N, h * self.DK)), requires_grad=True)
+        kv = Tensor(rng.normal(size=(self.B, self.M, h * (self.DK + self.DV))), requires_grad=True)
+        c = Tensor(rng.normal(size=(self.B, self.N, h * self.DV)))
+        mask = self.key_mask()
+
+        def loss():
+            return (attention_heads(q, kv, mask, h, activation, scale)[0] * c).sum()
+
+        loss().backward()
+        for x in (q, kv):
+            numeric = central_difference(lambda: loss().item(), x)
+            np.testing.assert_allclose(x.grad, numeric, rtol=1e-6, atol=1e-7)
+
+    @pytest.mark.parametrize("activation", [SOFTMAX, ONE_PLUS_RELU])
+    def test_one_entry_broadcasts_with_grad(self, activation):
+        rng = np.random.default_rng(5)
+        h = 2
+        q = Tensor(rng.normal(size=(self.B, self.N, h * self.DK)), requires_grad=True)
+        kv = Tensor(rng.normal(size=(1, self.M, h * (self.DK + self.DV))), requires_grad=True)
+        c = Tensor(rng.normal(size=(self.B, self.N, h * self.DV)))
+        mask = np.ones((1, self.M), bool)
+        mask[0, 1] = False
+        full = Tensor(np.repeat(kv.data, self.B, axis=0))
+        out = attention_heads(q, kv, mask, h, activation, 0.7)[0]
+        np.testing.assert_array_equal(
+            out.data, attention_heads(q, full, np.repeat(mask, self.B, 0), h, activation, 0.7)[0].data
+        )
+
+        def loss():
+            return (attention_heads(q, kv, mask, h, activation, 0.7)[0] * c).sum()
+
+        loss().backward()
+        assert kv.grad.shape == kv.shape
+        numeric = central_difference(lambda: loss().item(), kv)
+        np.testing.assert_allclose(kv.grad, numeric, rtol=1e-6, atol=1e-7)
+
+    def test_masked_keys_get_no_weight_or_gradient(self):
+        rng = np.random.default_rng(8)
+        q = Tensor(rng.normal(size=(self.B, self.N, 4)), requires_grad=True)
+        kv = Tensor(rng.normal(size=(self.B, self.M, 8)), requires_grad=True)
+        mask = self.key_mask()
+        for activation in (SOFTMAX, ONE_PLUS_RELU):
+            kv.zero_grad()
+            out, w = attention_heads(q, kv, mask, 2, activation)
+            assert (w.transpose(0, 3, 1, 2)[~mask] == 0).all()
+            out.sum().backward()
+            assert (kv.grad[~mask] == 0).all()
+
+    def test_overflowing_scores_name_the_op(self):
+        q = Tensor(np.full((1, 2, 2), 1e200))
+        kv = Tensor(np.full((1, 3, 4), 1e200))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="attention_heads"):
+            attention_heads(q, kv, np.ones((1, 3), bool), 1, SOFTMAX)
+
+    def test_fully_masked_softmax_row(self):
+        q, kv = Tensor(np.ones((2, 2, 2))), Tensor(np.ones((2, 3, 4)))
+        mask = np.array([[True, False, True], [False, False, False]])
+        with pytest.raises(DegenerateRowError):
+            attention_heads(q, kv, mask, 2, SOFTMAX)
+        out, w = attention_heads(q, kv, mask, 2, ONE_PLUS_RELU)
+        assert (w[1] == 0).all() and (out.data[1] == 0).all()
+
+    @pytest.mark.parametrize("kv_shape", [(2, 3, 2), (3, 3, 6), (2, 3, 5)])
+    def test_shape_mismatch(self, kv_shape):
+        # q has 2 rows and 2 heads of width 1: kv needs 1 or 2 entries, and
+        # 2 key columns plus a positive multiple of 2 value columns
+        with pytest.raises(ShapeError):
+            attention_heads(Tensor(np.ones((2, 2, 2))), Tensor(np.ones(kv_shape)),
+                            np.ones((2, 3), bool), 2, SOFTMAX)
