@@ -59,11 +59,6 @@ def predict_sequential(params, config, catalog: ItemCatalog, C, S, context=None)
     return _candidate_probs(params, config, catalog, C, S, context)
 
 
-def predict_single(params, config, catalog: ItemCatalog, S, context=None):
-    """Single-choice prediction via the C = S reduction."""
-    return predict_sequential(params, config, catalog, S, S, context)
-
-
 def assortment_utilities(params, config, catalog: ItemCatalog, S, context=None):
     """Raw decoder utilities u_i^S (C = S), for the threshold head."""
     S = sorted(frozenset(S))

@@ -6,9 +6,10 @@ cross-attends over those latents; a shared per-item decoder maps latents to
 scalar utilities whose masked softmax over the candidates gives P(i | C, S).
 
 The assortment side (latents and the cross-attention K/V) depends on S and
-the context only, so ``encode_assortment`` computes it once per distinct
-(assortment, context) pair of a batch and ``forward`` can score any number
-of candidate sets against it.
+the context only, so every forward computes it once per distinct
+(assortment, context) pair of its batch, in training too, and gathers it to
+the rows; ``encode_assortment`` keeps it so that ``forward`` can score any
+number of candidate sets against it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .tensor import (
     Tensor,
     attention_heads,
     concat,
-    grad_enabled,
     no_grad,
+    take,
 )
 from .data import PaddedBatch
 
@@ -345,8 +346,8 @@ class AssortmentCache:
     context) pair: the assortment latents and each cross sublayer's K/V
     (every head's keys, then every head's values). ``rows`` gives each batch
     row's entry; None means row b uses entry b, or, with a single entry, that
-    every row uses it. Entries are shared only by forwards that record no
-    graph, so a shared entry is a constant."""
+    every row uses it. In a forward that records a graph the gradient of
+    every row that uses an entry flows back into it."""
 
     latents: Tensor  # G x Smax x dv
     kv: dict[str, Tensor]  # cross-sublayer prefix -> G x Smax x 2dv
@@ -354,7 +355,8 @@ class AssortmentCache:
 
     def cross_kv(self, prefix: str, batch_size: int) -> Tensor:
         """The K/V of the cross sublayer ``prefix`` for a batch of
-        ``batch_size`` rows: gathered per row, or left to broadcast."""
+        ``batch_size`` rows: gathered per row (the backward adds each row's
+        gradient into its entry), or left to broadcast."""
         entries = self.latents.shape[0]
         if self.rows is None:
             if entries not in (1, batch_size):
@@ -362,15 +364,15 @@ class AssortmentCache:
             return self.kv[prefix]
         if len(self.rows) != batch_size:
             raise ShapeError(f"cache of {len(self.rows)} rows for {batch_size} rows")
-        return Tensor(self.kv[prefix].data[self.rows])
+        return take(self.kv[prefix], self.rows)
 
 
 def _encode(ctx: _Ctx) -> AssortmentCache:
     """The assortment encoder and the cross K/V over the batch's distinct
-    (assortment, context) pairs. A training forward (its dropout draws differ
-    per row) or one that records a graph encodes every row."""
+    (assortment, context) pairs. In training, assortment-side dropout thus
+    draws one mask per distinct pair, which the rows sharing it share."""
     b = ctx.batch
-    rows = None if ctx.training or grad_enabled() else b.assort_index
+    rows = b.assort_index
     feats, mask, items = b.assort_features, b.assort_mask, b.assort_items
     if rows is not None:
         firsts = np.unique(rows, return_index=True)[1]

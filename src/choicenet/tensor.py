@@ -97,11 +97,6 @@ def no_grad():
         _grad_mode.enabled = previous
 
 
-def grad_enabled() -> bool:
-    """Whether ops in this thread record a graph (False inside ``no_grad``)."""
-    return _grad_mode.enabled
-
-
 def _accumulate(t: "Tensor", g, fresh: bool = True) -> None:
     """Add ``g`` into ``t.grad``. A ``fresh`` array, which no other tensor
     holds, becomes the first gradient as it is; anything else (an upstream
@@ -113,6 +108,16 @@ def _accumulate(t: "Tensor", g, fresh: bool = True) -> None:
         t.grad = g if fresh and type(g) is np.ndarray else np.array(g, order="C")
     else:
         t.grad += g
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """``g`` summed back onto an operand of ``shape`` that broadcast against
+    it: over the leading axes the operand lacks, and (kept) over every axis
+    where the operand has size 1 and ``g`` does not."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    axes = tuple(i for i, (n, m) in enumerate(zip(shape, g.shape)) if n == 1 and m != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
 
 
 class Tensor:
@@ -230,17 +235,10 @@ class Tensor:
             raise ShapeError(f"matmul inner dims {a.shape} vs {b.shape}")
 
         def backward(dy, ta=self, tb=other):
-            # collapse broadcast batch axes back onto the operand's shape
             if ta.requires_grad:
-                da = np.matmul(dy, np.swapaxes(tb.data, -1, -2))
-                while da.ndim > ta.data.ndim:
-                    da = da.sum(axis=0)
-                _accumulate(ta, da)
+                _accumulate(ta, _unbroadcast(np.matmul(dy, np.swapaxes(tb.data, -1, -2)), ta.shape))
             if tb.requires_grad:
-                db = np.matmul(np.swapaxes(ta.data, -1, -2), dy)
-                while db.ndim > tb.data.ndim:
-                    db = db.sum(axis=0)
-                _accumulate(tb, db)
+                _accumulate(tb, _unbroadcast(np.matmul(np.swapaxes(ta.data, -1, -2), dy), tb.shape))
 
         return Tensor._from_op(np.matmul(a, b), (self, other), backward, "matmul")
 
@@ -493,9 +491,7 @@ def attention_heads(
                  dvh.transpose(0, 2, 1, 3).reshape(bsz, m, h * dv)],
                 axis=-1,
             )
-            if entries < bsz:
-                dkv = dkv.sum(axis=0, keepdims=True)
-            _accumulate(tkv, dkv)
+            _accumulate(tkv, _unbroadcast(dkv, tkv.shape))
 
     return Tensor._from_op(out, (q, kv), backward, "attention_heads"), w
 
@@ -514,3 +510,35 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
             _accumulate(t, dy[tuple(idx)], fresh=False)
 
     return Tensor._from_op(out, tuple(tensors), backward, "concat")
+
+
+def take(t: Tensor, rows) -> Tensor:
+    """The entries ``rows`` of ``t`` along its first axis: ``out[b] =
+    t[rows[b]]``, for one or more ``rows``. An entry may be taken by any
+    number of rows or by none; the backward adds every row's gradient into
+    its entry, so an entry no row takes gets 0. The values were checked
+    finite when ``t`` was made and are not checked again."""
+    rows = np.asarray(rows)
+    if t.data.ndim < 1 or rows.ndim != 1 or rows.dtype.kind not in "iu" or not rows.size:
+        raise ShapeError(f"take: rows of shape {rows.shape} from {t.shape}")
+    try:
+        if rows.min() < 0:
+            raise IndexError
+        out = Tensor(t.data.take(rows, axis=0))  # IndexError past the last entry
+    except IndexError:
+        raise ShapeError(f"take: rows outside the {t.shape[0]} entries") from None
+    if _grad_mode.enabled and t.requires_grad:
+        # each entry's rows become one contiguous run, summed by reduceat
+        order = np.argsort(rows, kind="stable")
+        runs = rows[order]
+        starts = np.flatnonzero(np.r_[True, runs[1:] != runs[:-1]])
+
+        def backward(dy, a=t):
+            g = np.zeros_like(a.data)
+            g[runs[starts]] = np.add.reduceat(dy[order], starts, axis=0)
+            _accumulate(a, g)
+
+        out.requires_grad = True
+        out._parents = (t,)
+        out._backward = backward
+    return out

@@ -8,6 +8,7 @@ from choicenet import inference as I
 from choicenet import model as M
 from choicenet import oracle as O
 from choicenet import training as T
+from choicenet.tensor import no_grad
 
 
 @pytest.fixture(scope="module")
@@ -37,11 +38,16 @@ class TestPredict:
             assert probs[pos] == pytest.approx(truth, abs=1e-6)
 
     def test_single_is_c_equals_s(self, small_net):
+        # `predict --task single` scores C = S, the reduction training uses
         params, cfg, catalog = small_net
-        i1, p1 = I.predict_single(params, cfg, catalog, {0, 1, 3})
-        i2, p2 = I.predict_sequential(params, cfg, catalog, {0, 1, 3}, {0, 1, 3})
-        assert i1 == i2
-        np.testing.assert_array_equal(p1, p2)
+        S = frozenset({0, 1, 3})
+        single = D.ChoiceDataset(catalog, [D.ChoiceObservation(D.SINGLE, S, choice=1)], D.SINGLE)
+        batch = D.pad_batch(catalog, D.single_to_sequential(single).observations)
+        with no_grad():
+            ref = M.forward(batch, params, cfg).probs[0]
+        items, probs = I.predict_sequential(params, cfg, catalog, S, S)
+        assert items == sorted(S)
+        np.testing.assert_array_equal(probs, ref[: len(S)])
 
     def test_probs_sum_to_one(self, small_net):
         params, cfg, catalog = small_net

@@ -473,8 +473,66 @@ class TestAssortmentCache:
             M.forward_utilities(batch, params, cfg)
         M.forward(batch, params, cfg, training=True, rng=np.random.default_rng(0))
         M.forward(batch, params, cfg)
-        # training, or recording a graph, encodes every row
-        assert encoded == [1, batch.size, batch.size]
+        # training and recording a graph encode the one entry too
+        assert encoded == [1, 1, 1]
+
+    @staticmethod
+    def _weighted_utilities(batch, params, cfg, weights, rng):
+        for p in params.values():
+            p.zero_grad()
+        u = M.forward_utilities(batch, params, cfg, training=True, rng=rng)
+        (u * Tensor(weights)).sum().backward()
+        return u.data, {name: p.grad.copy() for name, p in params.items()}
+
+    @pytest.mark.parametrize("kind", ["boost", "multi"])
+    def test_training_forward_matches_unshared_at_dropout_zero(self, kind):
+        cfg = M.TCNetConfig(
+            input_dim=4, hidden_dim=8, n_heads=2, n_layers=2, seed=5, dropout_rate=0.0
+        )
+        params = M.init_params(cfg)
+        if kind == "boost":
+            ds = D.generate_boosted_synthetic(120, seed=3)
+            batch = D.pad_batch(ds.catalog, ds.observations)
+        else:
+            ds = D.generate_boosted_multi(80, seed=6)
+            batch = D.pad_multi_batch(ds.catalog, ds.observations)
+        assert 1 < len(np.unique(batch.assort_index)) < batch.size
+        weights = np.random.default_rng(1).normal(size=batch.cand_mask.shape)
+        u, grads = self._weighted_utilities(batch, params, cfg, weights, np.random.default_rng(0))
+        ref_u, ref_grads = self._weighted_utilities(
+            _unshared(batch), params, cfg, weights, np.random.default_rng(0)
+        )
+        np.testing.assert_allclose(u, ref_u, rtol=0, atol=1e-12)
+        for name, g in grads.items():
+            ref = ref_grads[name]
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+    def test_dropout_mask_is_shared_per_entry(self, monkeypatch):
+        cfg = M.TCNetConfig(input_dim=4, hidden_dim=8, n_heads=2, seed=0, dropout_rate=0.5)
+        params = M.init_params(cfg)
+        cat = D.ItemCatalog.one_hot(list("abc"))
+        S, S2 = frozenset(range(3)), frozenset({0, 1})
+        obs = [
+            D.ChoiceObservation(D.SEQUENTIAL, s, candidates=c, choice=min(c), context=ctx)
+            for s, c, ctx in ((S, S, (0.1,)), (S, S, (0.2,)), (S, {1, 2}, (0.1,)), (S2, S2, (0.1,)))
+        ]
+        batch = D.pad_batch(cat, obs)
+        np.testing.assert_array_equal(batch.assort_index, [0, 1, 0, 2])
+        seen = []
+        cross_kv = M.AssortmentCache.cross_kv
+        monkeypatch.setattr(
+            M.AssortmentCache, "cross_kv",
+            lambda self, *a: seen.append(cross_kv(self, *a)) or seen[-1],
+        )
+        M.forward(batch, params, cfg, training=True, rng=np.random.default_rng(3))
+        with no_grad():
+            M.forward(batch, params, cfg)
+        kv, plain = (t.data for t in seen)
+        # rows 0 and 2 share (S, 0.1) and its mask; dropout did act on it
+        np.testing.assert_array_equal(kv[0], kv[2])
+        assert not np.allclose(kv[0], plain[0])
+        for a, b in ((0, 1), (0, 3), (1, 3)):
+            assert not np.allclose(kv[a], kv[b])
 
     def test_context_separates_entries(self):
         cat = D.ItemCatalog.one_hot(list("abc"))
