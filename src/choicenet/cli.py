@@ -107,21 +107,16 @@ def cmd_train(args) -> int:
 
 
 def _reduce_splits(splits, task, seed):
-    out = []
-    for k, part in enumerate(splits):
-        if task == "multi":
-            out.append(part)
-        elif part.kind == D.SINGLE:
-            out.append(D.single_to_sequential(part))
-        elif part.kind == D.MULTI:
-            # train split is re-expanded per epoch inside the loop; val/test fixed
-            if k == 0:
-                out.append(part)
-            else:
-                out.append(D.multi_to_sequential(part, np.random.default_rng(seed + 100 + k)))
-        else:
-            out.append(part)
-    return tuple(out)
+    """Fix one expansion of multi-basket val/test splits for a sequential
+    task; ``training.fit`` expands the train split anew every epoch."""
+    if task == "multi":
+        return splits
+    return tuple(
+        D.multi_to_sequential(part, np.random.default_rng(seed + 100 + k))
+        if k > 0 and part.kind == D.MULTI
+        else part
+        for k, part in enumerate(splits)
+    )
 
 
 def _test_metric(params, config, test_ds, task, threshold):

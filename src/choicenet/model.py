@@ -57,10 +57,11 @@ class TCNetConfig:
     cross_residual: bool | None = None
 
     def __post_init__(self):
+        for size in ("hidden_dim", "n_heads", "n_layers"):
+            if getattr(self, size) < 1:
+                raise ValueError(f"{size} must be >= 1, got {getattr(self, size)}")
         if self.hidden_dim % self.n_heads:
             raise ValueError("hidden_dim must be divisible by n_heads")
-        if self.n_layers < 1:
-            raise ValueError("n_layers must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
         if not self.use_embedding and self.input_dim != self.hidden_dim:
@@ -103,10 +104,10 @@ class AttentionRecord:
 
 def parameter_shapes(config: TCNetConfig) -> dict[str, tuple]:
     """Name -> shape map for every trainable tensor. Counts depend only on
-    (input_dim, hidden_dim, n_layers, n_heads, decoder_dims), never on the
-    catalog size."""
-    d, dv, h = config.input_dim, config.hidden_dim, config.n_heads
-    dh = dv // h
+    (input_dim, hidden_dim, n_layers, decoder_dims), never on the catalog
+    size or the head count: an attention sublayer holds ``Wq`` (every head's
+    queries side by side) and ``Wkv`` (every head's keys, then values)."""
+    d, dv = config.input_dim, config.hidden_dim
     shapes: dict[str, tuple] = {}
 
     def add_ln(prefix):
@@ -115,10 +116,8 @@ def parameter_shapes(config: TCNetConfig) -> dict[str, tuple]:
             shapes[f"{prefix}.ln_b"] = (dv,)
 
     def add_attn(prefix):
-        for k in range(h):
-            shapes[f"{prefix}.Wq.{k}"] = (dv, dh)
-            shapes[f"{prefix}.Wk.{k}"] = (dv, dh)
-            shapes[f"{prefix}.Wv.{k}"] = (dv, dh)
+        shapes[f"{prefix}.Wq"] = (dv, dv)
+        shapes[f"{prefix}.Wkv"] = (dv, 2 * dv)
         add_ln(prefix)
 
     def add_ffn(prefix):
@@ -183,8 +182,17 @@ def init_params(config: TCNetConfig, rng: np.random.Generator | None = None) -> 
         rng = np.random.default_rng(config.seed)
     params: dict[str, Tensor] = {}
     for name, shape in parameter_shapes(config).items():
-        leaf = name.rsplit(".", 1)[-1]
-        if leaf.startswith("b") or leaf == "ln_b":
+        prefix, leaf = name.rsplit(".", 1)
+        if leaf == "Wq":  # each head's Xavier query, key and value matrix in turn
+            dv, h = shape[0], config.n_heads
+            b = np.sqrt(6.0 / (dv + dv // h))
+            w = rng.uniform(-b, b, size=(h, 3, dv, dv // h))
+            w = w.transpose(1, 2, 0, 3).reshape(3, dv, dv)  # queries, keys, values
+            params[name] = Tensor(w[0], requires_grad=True)
+            params[f"{prefix}.Wkv"] = Tensor(np.hstack(w[1:]), requires_grad=True)
+        elif leaf == "Wkv":
+            continue  # drawn with the sublayer's Wq
+        elif leaf.startswith("b") or leaf == "ln_b":
             params[name] = Tensor(np.zeros(shape), requires_grad=True)
         elif leaf == "ln_g":
             params[name] = Tensor(np.ones(shape), requires_grad=True)
@@ -276,18 +284,10 @@ def attention(
     return out, _row_normalized(weights, activation)[:, 0]
 
 
-def _projection(ctx: _Ctx, prefix: str, names: tuple[str, ...]) -> Tensor:
-    """The per-head weights ``names`` of the sublayer ``prefix`` side by side
-    (every head of the first name, then every head of the next), so one
-    matmul projects all heads."""
-    h = ctx.config.n_heads
-    return concat([ctx.p(f"{prefix}.{name}.{k}") for name in names for k in range(h)])
-
-
 def _kv(ctx: _Ctx, prefix: str, x_kv: Tensor) -> Tensor:
     """Every head's keys, then every head's values, of the sublayer
     ``prefix`` over ``x_kv``."""
-    return x_kv.matmul(_projection(ctx, prefix, ("Wk", "Wv")))
+    return x_kv.matmul(ctx.p(f"{prefix}.Wkv"))
 
 
 def _attn_sublayer(
@@ -304,7 +304,7 @@ def _attn_sublayer(
 ) -> Tensor:
     cfg = ctx.config
     activation = cfg.activation_for(sublayer)
-    q = x_q.matmul(_projection(ctx, prefix, ("Wq",)))
+    q = x_q.matmul(ctx.p(f"{prefix}.Wq"))
     out, weights = attention_heads(
         q, kv, key_mask, cfg.n_heads, activation, _score_scale(cfg.scale_scores, cfg.hidden_dim)
     )
@@ -492,6 +492,17 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], TCNetConfig]:
             if k.startswith("param:")
         }
     expected = parameter_shapes(config)
-    if set(params) != set(expected):
-        raise ValueError("checkpoint parameters do not match config")
+    mismatches = {
+        "missing": [k for k in expected if k not in params],
+        "unexpected": [k for k in params if k not in expected],
+        "wrong shape": [k for k in expected if k in params and params[k].shape != expected[k]],
+    }
+    if any(mismatches.values()):
+        found = "; ".join(f"{kind} {_first(names)}" for kind, names in mismatches.items() if names)
+        raise ValueError(f"checkpoint parameters do not match config: {found}")
     return params, config
+
+
+def _first(names: list[str], k: int = 4) -> str:
+    more = f" and {len(names) - k} more" if len(names) > k else ""
+    return ", ".join(names[:k]) + more

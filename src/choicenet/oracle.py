@@ -207,8 +207,7 @@ def build_constructive_tcnet(
 
     eye = np.eye(n)
     for prefix in ("assort.0.attn", "cand.0.attn", "cand.0.cross"):
-        params[f"{prefix}.Wv.0"] = Tensor(eye.copy(), requires_grad=True)
-        # Wq and Wk stay zero: scores are identically 0
+        params[f"{prefix}.Wkv"].data[:, n:] = eye  # V = I; Q and K stay 0: every score is 0
 
     w = 4.0 ** np.arange(1, n + 1)
     codes = np.empty(K)

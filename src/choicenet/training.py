@@ -139,6 +139,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         for grid in (self.lr_grid, self.hidden_grid, self.heads_grid):
             if not grid:
                 raise ValueError("grids must be nonempty")

@@ -237,6 +237,19 @@ class TestExitCodes:
         )
         assert rc == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [("--heads", 0, "n_heads"), ("--hidden-dim", 0, "hidden_dim"),
+         ("--batch-size", 0, "batch_size"), ("--heads", -4, "n_heads")],
+    )
+    def test_non_positive_size_is_bad_input(self, tmp_path, capsys, flag, value, field):
+        data = tmp_path / "boost.csv"
+        run(["gen-synthetic", "--samples", 40, "--out-file", data])
+        rc = run(["train", "--task", "sequential", "--data", data, "--out", tmp_path / "runs",
+                  "--epochs", 1, flag, value])
+        assert rc == EXIT_BAD_INPUT
+        assert field in capsys.readouterr().err
+
     def test_bad_item_name_is_bad_input(self, tmp_path):
         ckpt = tmp_path / "c.npz"
         from choicenet import model as M

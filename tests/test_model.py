@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from choicenet import cli
 from choicenet import data as D
 from choicenet import inference as I
 from choicenet import model as M
@@ -147,6 +148,7 @@ class TestAttentionSublayers:
             counts[h] = len(ops)
         assert counts[1] == counts[2] == counts[4]
         assert ops.count("attention_heads") == 3
+        assert "concat" not in ops
 
 
 class TestForwardBasics:
@@ -337,7 +339,8 @@ class TestParameterCount:
         base = None
         for h in (1, 2, 4, 8):
             cfg = M.TCNetConfig(input_dim=8, hidden_dim=32, n_heads=h)
-            total = M.count_params(M.init_params(cfg))
+            params = M.init_params(cfg)
+            total = (M.count_params(params), len(params))
             base = total if base is None else base
             assert total == base
 
@@ -386,14 +389,33 @@ class TestCheckpoint:
         after = M.forward(batch, params2, cfg2).probs
         np.testing.assert_array_equal(before, after)
 
-    def test_mismatched_params_rejected(self, tmp_path):
-        cfg = M.TCNetConfig(input_dim=5, hidden_dim=8, n_heads=2)
-        params = M.init_params(cfg)
-        del params["dec.0.b"]
-        path = tmp_path / "bad.ckpt.npz"
-        M.save_checkpoint(path, params, cfg)
-        with pytest.raises(ValueError):
-            M.load_checkpoint(path)
+    def test_mismatched_params_rejected(self, tmp_path, capsys):
+        cfg = M.TCNetConfig(input_dim=4, hidden_dim=8, n_heads=2)
+        data = tmp_path / "boost.csv"
+        D.save_csv(D.generate_boosted_synthetic(20, seed=0), data)
+        for layout, named in [
+            ("missing", "dec.0.b"), ("per_head", "Wq.0"), ("wider", "wrong shape assort.embed.W1")
+        ]:
+            params = M.init_params(cfg)
+            if layout == "missing":
+                del params["dec.0.b"]
+            elif layout == "wider":
+                params = M.init_params(dataclasses.replace(cfg, hidden_dim=16))
+            else:
+                # the older per-head layout: Wq.k, Wk.k, Wv.k in place of Wq and Wkv
+                for name in [k for k in params if k.endswith(".Wq")]:
+                    prefix = name.rsplit(".", 1)[0]
+                    del params[name], params[f"{prefix}.Wkv"]
+                    for w in ("Wq", "Wk", "Wv"):
+                        for k in range(cfg.n_heads):
+                            params[f"{prefix}.{w}.{k}"] = Tensor(np.zeros((8, 4)))
+            path = tmp_path / f"{layout}.ckpt.npz"
+            M.save_checkpoint(path, params, cfg)
+            with pytest.raises(ValueError, match=named):
+                M.load_checkpoint(path)
+            argv = ["eval", "--task", "sequential", "--data", str(data), "--checkpoint", str(path)]
+            assert cli.main(argv) == cli.EXIT_BAD_INPUT
+            assert named in capsys.readouterr().err
 
 
 class TestConfigValidation:
@@ -571,8 +593,8 @@ class TestAssortmentCache:
         for p in params.values():
             p.zero_grad()
         M.forward(batch, params, cfg, cache=cache).loss_input.sum().backward()
-        assert params["cand.0.cross.Wq.0"].grad.any()
-        assert not params["assort.0.attn.Wq.0"].grad.any()
+        assert params["cand.0.cross.Wq"].grad.any()
+        assert not params["assort.0.attn.Wq"].grad.any()
 
     @pytest.mark.parametrize("shared", ["one", "some"])
     def test_gradients_match_finite_differences(self, shared):
