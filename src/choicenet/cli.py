@@ -8,6 +8,7 @@ convert. The default output root comes from ``CHOICENET_OUT`` (default
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -59,6 +60,13 @@ def _train_config(args) -> T.TrainConfig:
 
 
 def cmd_train(args) -> int:
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+    if not args.lr > 0:
+        raise ValueError(f"--lr must be > 0, got {args.lr}")
+    if not 0.0 < args.threshold < 1.0:
+        raise ValueError(f"--threshold must lie in (0, 1), got {args.threshold}")
+    train_config = _train_config(args)
     ds = _load_dataset(args)
     out_dir = os.path.join(_out_root(args), args.run_id)
     os.makedirs(out_dir, exist_ok=True)
@@ -72,8 +80,7 @@ def cmd_train(args) -> int:
     for rep in range(args.repeats):
         seed = args.seed + rep
         mc = _model_config(args, D.effective_feature_dim(splits[0]))
-        tc = _train_config(args)
-        tc.seed = seed
+        tc = dataclasses.replace(train_config, seed=seed)
         mc.seed = seed
         params, report = T.train(mc, splits, tc, objective=objective)
         metric = _test_metric(params, mc, splits[2], args.task, args.threshold)

@@ -33,21 +33,16 @@ class ItemCatalog:
 
     names: list[str]
     features: np.ndarray  # n x d
-    no_purchase_index: int | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.shape[0] != len(self.names):
             raise DataError("feature rows must match item count")
-        if self.no_purchase_index is not None and not (
-            0 <= self.no_purchase_index < len(self.names)
-        ):
-            raise DataError("no_purchase_index out of range")
         self._index = {name: i for i, name in enumerate(self.names)}
 
     @classmethod
-    def one_hot(cls, names: list[str], no_purchase_index: int | None = None) -> "ItemCatalog":
-        return cls(list(names), np.eye(len(names)), no_purchase_index)
+    def one_hot(cls, names: list[str]) -> "ItemCatalog":
+        return cls(list(names), np.eye(len(names)))
 
     @property
     def item_count(self) -> int:
@@ -69,7 +64,7 @@ class ItemCatalog:
         feats = np.zeros((n + 1, d + 1))
         feats[:n, :d] = self.features
         feats[n, d] = 1.0
-        return ItemCatalog(self.names + [STOP_ITEM_NAME], feats, self.no_purchase_index)
+        return ItemCatalog(self.names + [STOP_ITEM_NAME], feats)
 
     @property
     def stop_index(self) -> int | None:
@@ -235,7 +230,7 @@ def save_csv(ds: ChoiceDataset, path) -> None:
             writer.writerow(row)
 
 
-def load_basket_transactions(path, n_items: int | None = None) -> ChoiceDataset:
+def load_basket_transactions(path) -> ChoiceDataset:
     """Load the public bakery-style transaction format: one line per basket.
 
     Each line lists integer item ids, optionally preceded by a transaction id
@@ -261,7 +256,7 @@ def load_basket_transactions(path, n_items: int | None = None) -> ChoiceDataset:
     max_id = max(max(b) for b in baskets)
     min_id = min(min(b) for b in baskets)
     offset = min_id  # ids may be 0- or 1-based
-    n = n_items if n_items is not None else max_id - offset + 1
+    n = max_id - offset + 1
     catalog = ItemCatalog.one_hot([f"item_{i}" for i in range(n)])
     full = frozenset(range(n))
     observations = [
@@ -492,23 +487,29 @@ def generate_boosted_multi(
 
 @dataclass
 class PaddedBatch:
-    """A batch of sequential observations padded to the batch's max set sizes.
+    """A batch of B observations, each row's candidates padded to the batch's
+    largest candidate set, and the G distinct (assortment, context) pairs of
+    its rows, numbered in order of first appearance, each padded to the
+    largest assortment.
 
-    Padded positions carry zero features and False masks; ``labels`` indexes
-    the chosen candidate position of each row. ``assort_index`` numbers the
-    distinct (assortment, context) pairs in order of first appearance and
-    gives each row's number; it is None when no two rows share a pair.
+    The candidate side (``cand_features``, ``cand_mask``, ``cand_items``,
+    ``labels``, ``label_mask``) has B rows; the assortment side
+    (``assort_features``, ``assort_mask``, ``assort_items``) has G entries,
+    and ``assort_index`` gives each row's entry. Padded positions carry zero
+    features and False masks. ``labels`` is each row's chosen candidate
+    position and ``label_mask`` flags each candidate position in its row's
+    basket; each is None when the observations carry no choices or baskets.
     """
 
     cand_features: np.ndarray  # B x Cmax x d
-    assort_features: np.ndarray  # B x Smax x d
+    assort_features: np.ndarray  # G x Smax x d
     cand_mask: np.ndarray  # B x Cmax bool
-    assort_mask: np.ndarray  # B x Smax bool
+    assort_mask: np.ndarray  # G x Smax bool
     labels: np.ndarray | None  # B int, position in candidate axis
-    label_mask: np.ndarray | None  # B x Smax bool (multi membership)
-    cand_items: list[list[int]]
-    assort_items: list[list[int]]
-    assort_index: np.ndarray | None = None  # B int
+    label_mask: np.ndarray | None  # B x Cmax bool (multi membership)
+    cand_items: list[list[int]]  # B
+    assort_items: list[list[int]]  # G
+    assort_index: np.ndarray  # B int, each row's entry
 
     @property
     def size(self) -> int:
@@ -523,14 +524,16 @@ def _item_features(catalog: ItemCatalog, items: list[int], context) -> np.ndarra
     return feats
 
 
-def _assortment_index(observations: list[ChoiceObservation]) -> np.ndarray | None:
-    """Each row's distinct (assortment, context) number, by hashing; None for
-    one row or when all rows differ."""
-    if len(observations) < 2:
-        return None
-    seen: dict = {}
-    index = [seen.setdefault((o.assortment, o.context), len(seen)) for o in observations]
-    return np.array(index) if len(seen) < len(observations) else None
+def _assortment_index(
+    observations: list[ChoiceObservation],
+) -> tuple[np.ndarray, list[ChoiceObservation]]:
+    """Each row's distinct (assortment, context) number, by hashing, and the
+    first observation of each number."""
+    firsts: dict = {}
+    index = [
+        firsts.setdefault((o.assortment, o.context), (len(firsts), o))[0] for o in observations
+    ]
+    return np.array(index), [o for _, o in firsts.values()]
 
 
 def effective_feature_dim(ds: ChoiceDataset) -> int:
@@ -538,51 +541,36 @@ def effective_feature_dim(ds: ChoiceDataset) -> int:
     return ds.catalog.feature_dim + (len(ctx) if ctx else 0)
 
 
+def _pad(catalog: ItemCatalog, sets: list[list[int]], contexts) -> tuple[np.ndarray, np.ndarray]:
+    """Features and mask of ``sets``, each padded to the largest."""
+    width = max(len(s) for s in sets)
+    d = catalog.feature_dim + (len(contexts[0]) if contexts[0] else 0)
+    feats = np.zeros((len(sets), width, d))
+    mask = np.zeros((len(sets), width), dtype=bool)
+    for b, (items, context) in enumerate(zip(sets, contexts)):
+        feats[b, : len(items)] = _item_features(catalog, items, context)
+        mask[b, : len(items)] = True
+    return feats, mask
+
+
 def pad_batch(catalog: ItemCatalog, observations: list[ChoiceObservation]) -> PaddedBatch:
-    cand_sets = [sorted(o.candidates) for o in observations]
-    assort_sets = [sorted(o.assortment) for o in observations]
-    cmax = max(len(c) for c in cand_sets)
-    smax = max(len(s) for s in assort_sets)
-    d = catalog.feature_dim + (
-        len(observations[0].context) if observations[0].context else 0
-    )
-    B = len(observations)
-    fc = np.zeros((B, cmax, d))
-    fs = np.zeros((B, smax, d))
-    mc = np.zeros((B, cmax), dtype=bool)
-    ms = np.zeros((B, smax), dtype=bool)
-    labels = np.zeros(B, dtype=np.int64)
-    for b, obs in enumerate(observations):
-        fc[b, : len(cand_sets[b])] = _item_features(catalog, cand_sets[b], obs.context)
-        fs[b, : len(assort_sets[b])] = _item_features(catalog, assort_sets[b], obs.context)
-        mc[b, : len(cand_sets[b])] = True
-        ms[b, : len(assort_sets[b])] = True
-        labels[b] = cand_sets[b].index(obs.choice)
-    return PaddedBatch(
-        fc, fs, mc, ms, labels, None, cand_sets, assort_sets, _assortment_index(observations)
-    )
-
-
-def pad_multi_batch(catalog: ItemCatalog, observations: list[ChoiceObservation]) -> PaddedBatch:
-    """Batch for the binary-membership head: candidates are the assortment and
-    ``label_mask`` flags basket membership per assortment position."""
-    assort_sets = [sorted(o.assortment) for o in observations]
-    smax = max(len(s) for s in assort_sets)
-    d = catalog.feature_dim + (
-        len(observations[0].context) if observations[0].context else 0
-    )
-    B = len(observations)
-    fs = np.zeros((B, smax, d))
-    ms = np.zeros((B, smax), dtype=bool)
-    lm = np.zeros((B, smax), dtype=bool)
-    for b, obs in enumerate(observations):
-        fs[b, : len(assort_sets[b])] = _item_features(catalog, assort_sets[b], obs.context)
-        ms[b, : len(assort_sets[b])] = True
-        for pos, item in enumerate(assort_sets[b]):
-            lm[b, pos] = item in obs.basket
-    return PaddedBatch(
-        fs, fs, ms, ms, None, lm, assort_sets, assort_sets, _assortment_index(observations)
-    )
+    """The batch of ``observations``; an observation without candidates (a
+    multi basket) offers its whole assortment as candidates."""
+    cand_sets = [
+        sorted(o.assortment if o.candidates is None else o.candidates) for o in observations
+    ]
+    fc, mc = _pad(catalog, cand_sets, [o.context for o in observations])
+    index, firsts = _assortment_index(observations)
+    assort_sets = [sorted(o.assortment) for o in firsts]
+    fs, ms = _pad(catalog, assort_sets, [o.context for o in firsts])
+    labels = label_mask = None
+    if all(o.choice is not None for o in observations):
+        labels = np.array([c.index(o.choice) for c, o in zip(cand_sets, observations)])
+    if all(o.basket is not None for o in observations):
+        label_mask = np.zeros(mc.shape, dtype=bool)
+        for b, (items, obs) in enumerate(zip(cand_sets, observations)):
+            label_mask[b, : len(items)] = [i in obs.basket for i in items]
+    return PaddedBatch(fc, fs, mc, ms, labels, label_mask, cand_sets, assort_sets, index)
 
 
 def make_batches(
@@ -594,7 +582,6 @@ def make_batches(
     """Yield PaddedBatches; observations are shuffled when ``shuffle``."""
     if not ds.observations:
         raise DataError("cannot batch an empty dataset")
-    pad = pad_multi_batch if ds.kind == MULTI else pad_batch
     order = np.arange(len(ds.observations))
     if shuffle:
         if rng is None:
@@ -602,4 +589,4 @@ def make_batches(
         order = rng.permutation(order)
     for start in range(0, len(order), batch_size):
         chunk = [ds.observations[i] for i in order[start : start + batch_size]]
-        yield pad(ds.catalog, chunk)
+        yield pad_batch(ds.catalog, chunk)

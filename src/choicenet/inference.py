@@ -17,7 +17,6 @@ from .data import (
     ItemCatalog,
     PaddedBatch,
     pad_batch,
-    pad_multi_batch,
     single_to_sequential,
 )
 from . import model as M
@@ -30,7 +29,6 @@ def _obs_batch(catalog: ItemCatalog, C, S, context=None) -> PaddedBatch:
         kind=SEQUENTIAL,
         assortment=frozenset(S),
         candidates=frozenset(C),
-        choice=min(C),
         context=context,
     )
     return pad_batch(catalog, [obs])
@@ -62,10 +60,7 @@ def predict_sequential(params, config, catalog: ItemCatalog, C, S, context=None)
 def assortment_utilities(params, config, catalog: ItemCatalog, S, context=None):
     """Raw decoder utilities u_i^S (C = S), for the threshold head."""
     S = sorted(frozenset(S))
-    obs = ChoiceObservation(
-        kind=MULTI, assortment=frozenset(S), basket=frozenset([S[0]]), context=context
-    )
-    batch = pad_multi_batch(catalog, [obs])
+    batch = _obs_batch(catalog, S, S, context)
     with no_grad():
         u = M.forward_utilities(batch, params, config).data[0]
     return S, u[: len(S)]
@@ -203,7 +198,7 @@ def _membership_probs(params, config, ds: ChoiceDataset):
     rows = []
     for batch, u in T.batch_utilities(ds, params, T.network_utilities(config)):
         sig = 1.0 / (1.0 + np.exp(-u.data))
-        rows += [(items, sig[b, : len(items)]) for b, items in enumerate(batch.assort_items)]
+        rows += [(items, sig[b, : len(items)]) for b, items in enumerate(batch.cand_items)]
     return rows
 
 

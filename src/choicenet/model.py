@@ -343,53 +343,35 @@ def _assortment_encoder(ctx: _Ctx, xs: Tensor, mask_s, items) -> Tensor:
 @dataclass
 class AssortmentCache:
     """The assortment side of a batch, one entry per distinct (assortment,
-    context) pair: the assortment latents and each cross sublayer's K/V
-    (every head's keys, then every head's values). ``rows`` gives each batch
-    row's entry; None means row b uses entry b, or, with a single entry, that
-    every row uses it. In a forward that records a graph the gradient of
-    every row that uses an entry flows back into it."""
+    context) pair of its rows: the assortment latents and each cross
+    sublayer's K/V (every head's keys, then every head's values). In a
+    forward that records a graph the gradient of every row that uses an
+    entry flows back into it."""
 
     latents: Tensor  # G x Smax x dv
     kv: dict[str, Tensor]  # cross-sublayer prefix -> G x Smax x 2dv
-    rows: np.ndarray | None = None  # B int
-
-    def cross_kv(self, prefix: str, batch_size: int) -> Tensor:
-        """The K/V of the cross sublayer ``prefix`` for a batch of
-        ``batch_size`` rows: gathered per row (the backward adds each row's
-        gradient into its entry), or left to broadcast."""
-        entries = self.latents.shape[0]
-        if self.rows is None:
-            if entries not in (1, batch_size):
-                raise ShapeError(f"cache of {entries} entries for {batch_size} rows")
-            return self.kv[prefix]
-        if len(self.rows) != batch_size:
-            raise ShapeError(f"cache of {len(self.rows)} rows for {batch_size} rows")
-        return take(self.kv[prefix], self.rows)
 
 
 def _encode(ctx: _Ctx) -> AssortmentCache:
-    """The assortment encoder and the cross K/V over the batch's distinct
-    (assortment, context) pairs. In training, assortment-side dropout thus
-    draws one mask per distinct pair, which the rows sharing it share."""
+    """The assortment encoder and the cross K/V over the batch's entries. In
+    training, assortment-side dropout thus draws one mask per entry, which
+    the rows sharing it share."""
     b = ctx.batch
-    rows = b.assort_index
-    feats, mask, items = b.assort_features, b.assort_mask, b.assort_items
-    if rows is not None:
-        firsts = np.unique(rows, return_index=True)[1]
-        feats, mask = feats[firsts], mask[firsts]
-        items = [items[i] for i in firsts]
-        if len(firsts) == 1:
-            rows = None  # one entry broadcasts to every row
-    latents = _assortment_encoder(ctx, Tensor(feats), mask, items)
+    latents = _assortment_encoder(ctx, Tensor(b.assort_features), b.assort_mask, b.assort_items)
     kv = {
         f"cand.{layer}.cross": _kv(ctx, f"cand.{layer}.cross", latents)
         for layer in range(ctx.config.n_layers)
     }
-    return AssortmentCache(latents, kv, rows)
+    return AssortmentCache(latents, kv)
 
 
 def _candidates_encoder(ctx: _Ctx, xc: Tensor, mask_c, cache: AssortmentCache) -> Tensor:
     b = ctx.batch
+    # a single entry broadcasts to every row; otherwise each row takes its
+    # entry's K/V, and the backward adds each row's gradient into the entry
+    shared = len(b.assort_mask) == 1
+    mask_s = b.assort_mask if shared else b.assort_mask[b.assort_index]
+    assort_items = [b.assort_items[g] for g in b.assort_index]
     h = _embedding(ctx, xc, "cand") if ctx.config.use_embedding else xc
     for layer in range(ctx.config.n_layers):
         prefix = f"cand.{layer}.attn"
@@ -398,9 +380,9 @@ def _candidates_encoder(ctx: _Ctx, xc: Tensor, mask_c, cache: AssortmentCache) -
             "candidates_self", b.cand_items, b.cand_items,
         )
         prefix = f"cand.{layer}.cross"
+        kv = cache.kv[prefix] if shared else take(cache.kv[prefix], b.assort_index)
         h = _attn_sublayer(
-            ctx, prefix, h, cache.cross_kv(prefix, b.size), b.assort_mask, "cross", layer,
-            "cross", b.cand_items, b.assort_items,
+            ctx, prefix, h, kv, mask_s, "cross", layer, "cross", b.cand_items, assort_items,
         )
         h = _ffn_sublayer(ctx, f"cand.{layer}.ffn", h)
     return h
@@ -422,8 +404,11 @@ def _utilities(ctx: _Ctx, cache: AssortmentCache | None) -> Tensor:
     b = ctx.batch
     if not b.cand_mask.any(axis=-1).all():
         raise ValueError("observation with zero candidates")
+    entries = len(b.assort_mask)
     if cache is None:
         cache = _encode(ctx)
+    elif cache.latents.shape[0] != entries:
+        raise ShapeError(f"cache of {cache.latents.shape[0]} entries for a batch of {entries}")
     xc = _candidates_encoder(ctx, Tensor(b.cand_features), b.cand_mask, cache)
     return _decoder(ctx, xc)
 
@@ -466,9 +451,9 @@ def forward_utilities(
     cache: AssortmentCache | None = None,
 ) -> Tensor:
     """Decoder utilities u_i^S, B x Cmax with padded positions not masked: the
-    softmax over ``cand_mask`` gives ``forward``'s probabilities; on a
-    ``pad_multi_batch`` batch (candidates = assortment) their sigmoids are
-    the threshold head's membership probabilities."""
+    softmax over ``cand_mask`` gives ``forward``'s probabilities; on a batch
+    of multi observations (candidates = assortment) their sigmoids are the
+    threshold head's membership probabilities."""
     return _utilities(_Ctx(params, config, training, rng, False, batch), cache)
 
 

@@ -14,7 +14,7 @@ from itertools import permutations
 import numpy as np
 
 from .tensor import Tensor, no_grad
-from .data import ItemCatalog, PaddedBatch
+from .data import SEQUENTIAL, ChoiceObservation, ItemCatalog, PaddedBatch, pad_batch
 from . import model as M
 
 MAX_TABULAR_N = 6
@@ -240,19 +240,10 @@ def _indicator(mask: int, n: int) -> np.ndarray:
 
 
 def _single_batch(n: int, c_mask: int, s_mask: int) -> PaddedBatch:
-    cand = list(items_of(c_mask))
-    assort = list(items_of(s_mask))
-    eye = np.eye(n)
-    return PaddedBatch(
-        cand_features=eye[cand][None, :, :],
-        assort_features=eye[assort][None, :, :],
-        cand_mask=np.ones((1, len(cand)), dtype=bool),
-        assort_mask=np.ones((1, len(assort)), dtype=bool),
-        labels=None,
-        label_mask=None,
-        cand_items=[cand],
-        assort_items=[assort],
+    obs = ChoiceObservation(
+        SEQUENTIAL, frozenset(items_of(s_mask)), candidates=frozenset(items_of(c_mask))
     )
+    return pad_batch(oracle_catalog(n), [obs])
 
 
 def verify_representation(

@@ -140,10 +140,6 @@ class Tensor:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def zeros(*shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
     def _from_op(data: np.ndarray, parents: tuple, backward, op: str) -> "Tensor":
         _check_finite(data, op)
         out = Tensor(data)
@@ -160,9 +156,6 @@ class Tensor:
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad.fill(0.0)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def item(self) -> float:
         return float(self.data)

@@ -13,6 +13,9 @@ from . import data as D
 from . import model as M
 
 LOG_FLOOR = 1e-12
+LR_DECAY = 0.95  # learning-rate factor every ``TrainConfig.decay_every`` epochs
+# expanded-sample count past which epochs are capped at 50
+DESK_SCALE_LIMIT = 50_000
 
 
 class DivergedError(RuntimeError):
@@ -123,20 +126,22 @@ class Adam:
 @dataclass
 class TrainConfig:
     initial_lr: float = 0.001
-    lr_decay: float = 0.95
     decay_every: int = 10
     epochs: int = 100
     batch_size: int = 256
     seed: int = 0
     weight_decay: float = 0.0
-    # expanded-sample threshold past which epochs are halved to 50
-    desk_scale_limit: int = 50_000
     # grids for grid_search
     lr_grid: tuple = (0.001, 0.0005, 0.0001)
     hidden_grid: tuple = (32, 128, 256)
     heads_grid: tuple = (4, 8, 16, 32)
 
     def __post_init__(self):
+        # 0 is allowed: it trains nothing, which tests use to check the loop
+        if not self.initial_lr >= 0:
+            raise ValueError(f"initial_lr must be >= 0, got {self.initial_lr}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -146,7 +151,7 @@ class TrainConfig:
                 raise ValueError("grids must be nonempty")
 
     def lr_at(self, epoch: int) -> float:
-        return self.initial_lr * self.lr_decay ** (epoch // self.decay_every)
+        return self.initial_lr * LR_DECAY ** (epoch // self.decay_every)
 
 
 @dataclass
@@ -210,7 +215,7 @@ def dataset_loss(
             continue
         s = 1.0 / (1.0 + np.exp(-u.data))
         y = batch.label_mask.astype(float)
-        v = batch.assort_mask
+        v = batch.cand_mask
         bce = -(y * np.log(np.maximum(s, LOG_FLOOR)) + (1 - y) * np.log(np.maximum(1 - s, LOG_FLOOR)))
         total += bce[v].sum()
         count += int(v.sum())
@@ -260,7 +265,7 @@ def fit(
     if expand:
         mean_basket = np.mean([len(o.basket) for o in train_ds.observations])
         approx_expanded = int(len(train_ds) * mean_basket)
-    if approx_expanded > train_config.desk_scale_limit:
+    if approx_expanded > DESK_SCALE_LIMIT:
         epochs = min(epochs, 50)
 
     opt = Adam(params, lr=train_config.initial_lr, weight_decay=train_config.weight_decay)
@@ -279,7 +284,7 @@ def fit(
             if objective == "ce":
                 loss = ce_loss(u.masked_softmax(batch.cand_mask), batch.labels, stats)
             else:
-                loss = independent_ce_loss(u, batch.label_mask, batch.assort_mask)
+                loss = independent_ce_loss(u, batch.label_mask, batch.cand_mask)
             loss.backward()
             opt.step()
             epoch_loss += loss.item()

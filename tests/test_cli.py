@@ -240,7 +240,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flag,value,field",
         [("--heads", 0, "n_heads"), ("--hidden-dim", 0, "hidden_dim"),
-         ("--batch-size", 0, "batch_size"), ("--heads", -4, "n_heads")],
+         ("--batch-size", 0, "batch_size"), ("--heads", -4, "n_heads"),
+         ("--repeats", 0, "repeats"), ("--lr", 0, "--lr"), ("--lr", -1, "--lr"),
+         ("--weight-decay", -1, "weight_decay")],
     )
     def test_non_positive_size_is_bad_input(self, tmp_path, capsys, flag, value, field):
         data = tmp_path / "boost.csv"
@@ -249,6 +251,20 @@ class TestExitCodes:
                   "--epochs", 1, flag, value])
         assert rc == EXIT_BAD_INPUT
         assert field in capsys.readouterr().err
+
+    def test_bad_threshold_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "multi.csv"
+        run(["gen-synthetic", "--multi", "--samples", 40, "--out-file", data])
+
+        def must_not_train(*args, **kwargs):
+            raise AssertionError("trained despite a bad threshold")
+
+        monkeypatch.setattr(T, "train", must_not_train)
+        rc = run(["train", "--task", "multi", "--data", data, "--out", tmp_path / "runs",
+                  "--epochs", 1, "--threshold", 1.5])
+        assert rc == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "--threshold" in err and "1.5" in err
 
     def test_bad_item_name_is_bad_input(self, tmp_path):
         ckpt = tmp_path / "c.npz"

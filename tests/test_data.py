@@ -248,12 +248,53 @@ class TestBatching:
 
         shared = D.pad_batch(cat, [obs(S), obs(T_), obs(S), obs(S)])
         np.testing.assert_array_equal(shared.assort_index, [0, 1, 0, 0])
-        multi_batch = D.pad_multi_batch(cat, [multi(T_), multi(S), multi(T_)])
+        assert shared.assort_items == [[0, 1, 2], [1, 3]]
+        multi_batch = D.pad_batch(cat, [multi(T_), multi(S), multi(T_)])
         np.testing.assert_array_equal(multi_batch.assort_index, [0, 1, 0])
-        # one row, all rows distinct, or the same items in another context: no sharing
-        assert D.pad_batch(cat, [obs(S)]).assort_index is None
-        assert D.pad_batch(cat, [obs(S), obs(T_)]).assort_index is None
-        assert D.pad_batch(cat, [obs(S, (0.0,)), obs(S, (1.0,))]).assort_index is None
+        # one row, all rows distinct, or the same items in another context:
+        # one entry per row
+        np.testing.assert_array_equal(D.pad_batch(cat, [obs(S)]).assort_index, [0])
+        np.testing.assert_array_equal(D.pad_batch(cat, [obs(S), obs(T_)]).assort_index, [0, 1])
+        in_contexts = D.pad_batch(cat, [obs(S, (0.0,)), obs(S, (1.0,))])
+        np.testing.assert_array_equal(in_contexts.assort_index, [0, 1])
+        np.testing.assert_array_equal(in_contexts.assort_features[:, 0, -1], [0.0, 1.0])
+
+    def test_full_catalog_rows_share_one_entry(self):
+        # the bakery shape: every basket is offered the whole catalog
+        cat = D.ItemCatalog.one_hot([f"i{k}" for k in range(50)])
+        full = frozenset(range(50))
+        baskets = [
+            D.ChoiceObservation(D.MULTI, full, basket=frozenset({k, 49 - k})) for k in range(8)
+        ]
+        ds = D.ChoiceDataset(cat, baskets, D.MULTI)
+        seq = D.multi_to_sequential(ds, np.random.default_rng(0))
+        for batch in (D.pad_batch(cat, baskets), D.pad_batch(cat, seq.observations)):
+            assert batch.assort_features.shape == (1, 50, 50)
+            assert batch.assort_mask.shape == (1, 50) and batch.assort_items == [list(range(50))]
+            np.testing.assert_array_equal(batch.assort_index, np.zeros(batch.size))
+
+    def test_multi_rows_offer_the_assortment(self):
+        cat = D.ItemCatalog.one_hot([f"i{k}" for k in range(5)])
+        obs = [
+            D.ChoiceObservation(D.MULTI, frozenset({0, 2, 3}), basket=frozenset({2})),
+            D.ChoiceObservation(D.MULTI, frozenset({1, 4}), basket=frozenset({1, 4})),
+        ]
+        batch = D.pad_batch(cat, obs)
+        assert batch.cand_items == [[0, 2, 3], [1, 4]]
+        np.testing.assert_array_equal(batch.cand_features[0, :3], np.eye(5)[[0, 2, 3]])
+        np.testing.assert_array_equal(batch.cand_features[1, :2], np.eye(5)[[1, 4]])
+        assert (batch.cand_features[1, 2] == 0).all()
+        np.testing.assert_array_equal(batch.cand_mask, [[True, True, True], [True, True, False]])
+        np.testing.assert_array_equal(batch.label_mask, [[False, True, False], [True, True, False]])
+        assert batch.labels is None
+
+    def test_no_choices_no_labels(self):
+        cat = D.ItemCatalog.one_hot(list("abc"))
+        S = frozenset(range(3))
+        obs = D.ChoiceObservation(D.SEQUENTIAL, S, candidates=frozenset({0, 2}))
+        batch = D.pad_batch(cat, [obs])
+        assert batch.labels is None and batch.label_mask is None
+        assert batch.cand_items == [[0, 2]] and batch.assort_items == [[0, 1, 2]]
 
     def test_batched_vs_unbatched_forward(self):
         ds = D.generate_boosted_synthetic(30, seed=2)

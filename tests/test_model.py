@@ -241,6 +241,7 @@ class TestForwardBasics:
             np.zeros((1, 2, 5)), np.zeros((1, 2, 5)),
             np.zeros((1, 2), bool), np.ones((1, 2), bool),
             np.zeros(1, dtype=np.int64), None, [[0, 1]], [[0, 1]],
+            np.zeros(1, dtype=np.int64),
         )
         with pytest.raises(ValueError):
             M.forward(batch, params, cfg)
@@ -259,7 +260,7 @@ class TestNoGradForward:
             D.ChoiceObservation(D.MULTI, o.assortment, basket=frozenset([min(o.assortment)]))
             for o in obs
         ]
-        ubatch = D.pad_multi_batch(cat, multi)
+        ubatch = D.pad_batch(cat, multi)
         graph = M.forward(batch, params, cfg)
         graph_u = M.forward_utilities(ubatch, params, cfg)
         assert graph.utilities._parents and graph_u._parents
@@ -436,8 +437,16 @@ class TestConfigValidation:
 
 
 def _unshared(batch):
-    """The same batch with every row encoded on its own."""
-    return dataclasses.replace(batch, assort_index=None)
+    """The same batch with every row encoded on its own: one assortment entry
+    per row."""
+    index = batch.assort_index
+    return dataclasses.replace(
+        batch,
+        assort_features=batch.assort_features[index],
+        assort_mask=batch.assort_mask[index],
+        assort_items=[batch.assort_items[g] for g in index],
+        assort_index=np.arange(batch.size),
+    )
 
 
 class TestAssortmentCache:
@@ -471,13 +480,13 @@ class TestAssortmentCache:
         cache = self._check_agrees(batch, cfg, params)
         distinct = len({o.assortment for o in ds.observations})
         assert 1 < distinct < batch.size
-        assert cache.latents.shape[0] == distinct and len(cache.rows) == batch.size
+        assert cache.latents.shape[0] == len(batch.assort_mask) == distinct
 
     def test_multi_batch(self):
         cfg, params = self._boost_net()
         ds = D.generate_boosted_multi(200, seed=4)
-        batch = D.pad_multi_batch(ds.catalog, ds.observations)
-        assert batch.assort_index is not None
+        batch = D.pad_batch(ds.catalog, ds.observations)
+        assert 1 < len(batch.assort_mask) < batch.size
         self._check_agrees(batch, cfg, params)
 
     def test_one_shared_assortment_encodes_one_row(self, monkeypatch):
@@ -517,7 +526,7 @@ class TestAssortmentCache:
             batch = D.pad_batch(ds.catalog, ds.observations)
         else:
             ds = D.generate_boosted_multi(80, seed=6)
-            batch = D.pad_multi_batch(ds.catalog, ds.observations)
+            batch = D.pad_batch(ds.catalog, ds.observations)
         assert 1 < len(np.unique(batch.assort_index)) < batch.size
         weights = np.random.default_rng(1).normal(size=batch.cand_mask.shape)
         u, grads = self._weighted_utilities(batch, params, cfg, weights, np.random.default_rng(0))
@@ -541,11 +550,8 @@ class TestAssortmentCache:
         batch = D.pad_batch(cat, obs)
         np.testing.assert_array_equal(batch.assort_index, [0, 1, 0, 2])
         seen = []
-        cross_kv = M.AssortmentCache.cross_kv
-        monkeypatch.setattr(
-            M.AssortmentCache, "cross_kv",
-            lambda self, *a: seen.append(cross_kv(self, *a)) or seen[-1],
-        )
+        take = M.take  # gathers each row's cross K/V from its entry
+        monkeypatch.setattr(M, "take", lambda *a: seen.append(take(*a)) or seen[-1])
         M.forward(batch, params, cfg, training=True, rng=np.random.default_rng(3))
         with no_grad():
             M.forward(batch, params, cfg)
@@ -606,7 +612,7 @@ class TestAssortmentCache:
             sets += [(S2, {1, 4}), (S2, {2})]
         obs = [seq_obs(S, C, min(C)) for S, C in sets]
         batch = D.pad_batch(cat, obs)
-        assert batch.assort_index is not None
+        assert len(batch.assort_mask) < batch.size
         cfg = M.TCNetConfig(input_dim=4, hidden_dim=4, n_heads=2, seed=2, decoder_dims=(3,))
         params = M.init_params(cfg)
         weights = rng.normal(size=batch.cand_mask.shape) * batch.cand_mask

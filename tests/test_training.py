@@ -157,6 +157,13 @@ class TestTrainLoop:
             np.testing.assert_array_equal(params[k].data, init[k].data)
         assert len(report.train_losses) == 2
 
+    @pytest.mark.parametrize(
+        "field,value", [("initial_lr", -0.001), ("initial_lr", float("nan")), ("weight_decay", -1.0)]
+    )
+    def test_negative_rates_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            T.TrainConfig(**{field: value})
+
     def test_reproducible_runs(self):
         splits = small_splits()
         mc = small_config()
