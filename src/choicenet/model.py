@@ -346,10 +346,13 @@ class AssortmentCache:
     context) pair of its rows: the assortment latents and each cross
     sublayer's K/V (every head's keys, then every head's values). In a
     forward that records a graph the gradient of every row that uses an
-    entry flows back into it."""
+    entry flows back into it. ``items`` and ``features`` are the entries it
+    was encoded from, so that a batch of other entries is refused."""
 
     latents: Tensor  # G x Smax x dv
     kv: dict[str, Tensor]  # cross-sublayer prefix -> G x Smax x 2dv
+    items: list[list[int]]  # G, each entry's items
+    features: np.ndarray  # G x Smax x d, padded, with the context
 
 
 def _encode(ctx: _Ctx) -> AssortmentCache:
@@ -362,7 +365,7 @@ def _encode(ctx: _Ctx) -> AssortmentCache:
         f"cand.{layer}.cross": _kv(ctx, f"cand.{layer}.cross", latents)
         for layer in range(ctx.config.n_layers)
     }
-    return AssortmentCache(latents, kv)
+    return AssortmentCache(latents, kv, b.assort_items, b.assort_features)
 
 
 def _candidates_encoder(ctx: _Ctx, xc: Tensor, mask_c, cache: AssortmentCache) -> Tensor:
@@ -404,11 +407,10 @@ def _utilities(ctx: _Ctx, cache: AssortmentCache | None) -> Tensor:
     b = ctx.batch
     if not b.cand_mask.any(axis=-1).all():
         raise ValueError("observation with zero candidates")
-    entries = len(b.assort_mask)
     if cache is None:
         cache = _encode(ctx)
-    elif cache.latents.shape[0] != entries:
-        raise ShapeError(f"cache of {cache.latents.shape[0]} entries for a batch of {entries}")
+    elif cache.items != b.assort_items or not np.array_equal(cache.features, b.assort_features):
+        raise ShapeError("cache encoded from other assortments or contexts than the batch's")
     xc = _candidates_encoder(ctx, Tensor(b.cand_features), b.cand_mask, cache)
     return _decoder(ctx, xc)
 
@@ -418,9 +420,10 @@ def encode_assortment(
 ) -> AssortmentCache:
     """The assortment side of ``batch`` for inference, once per distinct
     (assortment, context) pair and without a graph. ``forward`` and
-    ``forward_utilities`` score the candidates of ``batch`` against it; a
-    cache with a single entry also serves any batch whose rows all share that
-    assortment and context."""
+    ``forward_utilities`` score against it the candidates of any batch with
+    the same entries, such as every batch whose rows all share the one
+    assortment and context of a one-entry cache; a batch with other entries
+    raises ``ShapeError``."""
     with no_grad():
         return _encode(_Ctx(params, config, False, None, False, batch))
 

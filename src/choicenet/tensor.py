@@ -204,9 +204,6 @@ class Tensor:
 
         return Tensor._from_op(self.data + c, (self,), backward, "shift")
 
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return self + other.scale(-1.0)
-
     def add_bias(self, bias: "Tensor") -> "Tensor":
         """Add a rank-1 bias along the last axis."""
         if bias.data.ndim != 1 or bias.shape[0] != self.shape[-1]:
@@ -404,6 +401,11 @@ class Tensor:
 SOFTMAX = "softmax"
 ONE_PLUS_RELU = "one_plus_relu"
 
+# attention_heads runs its rows in blocks whose weights take at most this many
+# bytes, so that a block's weights and the backward's scratch of the same
+# size stay in a core's L2 cache between the passes over them
+BLOCK_BYTES = 512 * 1024
+
 
 def attention_heads(
     q: Tensor,
@@ -428,57 +430,88 @@ def attention_heads(
     weights. Only the weights (and, for ``ONE_PLUS_RELU``, which unmasked
     scores are positive) are kept for the backward. Every head's scores and
     the output are checked to be finite.
+
+    Forward and backward run over blocks of rows, as many as fit
+    ``BLOCK_BYTES`` of weights (at least one), so each pass over a block's
+    weights finds them in cache; the block size follows from the shape
+    alone. Every pass works per row, or per (row, head) for the matmuls, so
+    the results do not depend on the blocks, bit for bit. A block whose rows
+    mask no key skips the mask pass, which would change nothing.
     """
     bsz, n, dq = q.shape
     entries, m, width = kv.shape
     h = int(n_heads)
     if h < 1 or dq % h or width <= dq or (width - dq) % h or entries not in (1, bsz):
         raise ShapeError(f"attention_heads: q {q.shape} vs kv {kv.shape} with {h} heads")
+    if activation not in (SOFTMAX, ONE_PLUS_RELU):
+        raise ValueError(f"unknown attention activation {activation!r}")
     dk, dv = dq // h, (width - dq) // h
     keys = np.asarray(key_mask, dtype=bool)[:, None, None, :]
     scale = float(scale)
     qh = q.data.reshape(bsz, n, h, dk).transpose(0, 2, 1, 3)
     kh = kv.data[..., :dq].reshape(entries, m, h, dk).transpose(0, 2, 1, 3)
     vh = kv.data[..., dq:].reshape(entries, m, h, dv).transpose(0, 2, 1, 3)
+    step = max(1, BLOCK_BYTES // (8 * h * n * m))
+    blocks = range(0, bsz, step)
 
-    w = np.matmul(qh, kh.swapaxes(-1, -2))  # B x h x N x M scores
-    _check_finite(w, "attention_heads")
-    if scale != 1.0:
-        w *= scale
-    if activation == SOFTMAX:
-        if not keys.any(axis=-1).all():
-            raise DegenerateRowError("attention_heads: fully-masked row")
-        w += np.where(keys, 0.0, -np.inf)
-        w -= w.max(axis=-1, keepdims=True)
-        np.exp(w, out=w)
-        w /= w.sum(axis=-1, keepdims=True)
-        live = None
-    elif activation == ONE_PLUS_RELU:
-        live = (w > 0) & keys
-        np.maximum(w, 0.0, out=w)
-        w += 1.0
-        w *= keys
-    else:
-        raise ValueError(f"unknown attention activation {activation!r}")
-    out = np.matmul(w, vh).transpose(0, 2, 1, 3).reshape(bsz, n, h * dv)
+    def rows(a, lo):
+        """The rows of ``a`` in the block from ``lo``; one entry serves all."""
+        return a if len(a) == 1 else a[lo:lo + step]
+
+    w = np.empty((bsz, h, n, m))  # B x h x N x M scores, then weights
+    out = np.empty((bsz, n, h, dv))
+    live = np.empty(w.shape, dtype=bool) if activation == ONE_PLUS_RELU else None
+    for lo in blocks:
+        wb = np.matmul(qh[lo:lo + step], rows(kh, lo).swapaxes(-1, -2), out=w[lo:lo + step])
+        _check_finite(wb, "attention_heads")
+        if scale != 1.0:
+            wb *= scale
+        kb = rows(keys, lo)
+        masked = np.count_nonzero(kb) < kb.size
+        if live is None:
+            if masked:
+                if np.count_nonzero(kb.any(axis=-1)) < len(kb):
+                    raise DegenerateRowError("attention_heads: fully-masked row")
+                wb += np.where(kb, 0.0, -np.inf)
+            wb -= wb.max(axis=-1, keepdims=True)
+            np.exp(wb, out=wb)
+            wb /= wb.sum(axis=-1, keepdims=True)
+        else:
+            lb = np.greater(wb, 0.0, out=live[lo:lo + step])
+            np.maximum(wb, 0.0, out=wb)
+            wb += 1.0
+            if masked:
+                lb &= kb
+                wb *= kb
+        np.matmul(wb, rows(vh, lo), out=out[lo:lo + step].transpose(0, 2, 1, 3))
+    out = out.reshape(bsz, n, h * dv)
 
     def backward(dy, tq=q, tkv=kv):
         dyh = dy.reshape(bsz, n, h, dv).transpose(0, 2, 1, 3)
-        g = np.matmul(dyh, vh.swapaxes(-1, -2))  # d weights
-        if live is None:
-            # masked entries of w are exactly 0, so they get no gradient
-            g -= (g * w).sum(axis=-1, keepdims=True)
-            g *= w
-        else:
-            g *= live
-        if scale != 1.0:
-            g *= scale  # g is now d scores
         if tq.requires_grad:
-            dqh = np.matmul(g, kh)
-            _accumulate(tq, dqh.transpose(0, 2, 1, 3).reshape(bsz, n, dq))
+            dq4 = np.empty((bsz, n, h, dk))
         if tkv.requires_grad:
-            dkh = np.matmul(qh.swapaxes(-1, -2), g)  # B x h x dk x M
-            dvh = np.matmul(w.swapaxes(-1, -2), dyh)  # B x h x M x dv
+            dkh = np.empty((bsz, h, dk, m))
+            dvh = np.empty((bsz, h, m, dv))
+        for lo in blocks:
+            wb, dyb = w[lo:lo + step], dyh[lo:lo + step]
+            g = np.matmul(dyb, rows(vh, lo).swapaxes(-1, -2))  # d weights
+            if live is None:
+                # masked entries of w are exactly 0, so they get no gradient
+                g -= (g * wb).sum(axis=-1, keepdims=True)
+                g *= wb
+            else:
+                g *= live[lo:lo + step]
+            if scale != 1.0:
+                g *= scale  # g is now d scores
+            if tq.requires_grad:
+                np.matmul(g, rows(kh, lo), out=dq4[lo:lo + step].transpose(0, 2, 1, 3))
+            if tkv.requires_grad:
+                np.matmul(qh[lo:lo + step].swapaxes(-1, -2), g, out=dkh[lo:lo + step])
+                np.matmul(wb.swapaxes(-1, -2), dyb, out=dvh[lo:lo + step])
+        if tq.requires_grad:
+            _accumulate(tq, dq4.reshape(bsz, n, dq))
+        if tkv.requires_grad:
             dkv = np.concatenate(
                 [dkh.transpose(0, 3, 1, 2).reshape(bsz, m, dq),
                  dvh.transpose(0, 2, 1, 3).reshape(bsz, m, h * dv)],

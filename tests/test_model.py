@@ -589,6 +589,30 @@ class TestAssortmentCache:
             with pytest.raises(ShapeError):
                 M.forward(other, params, cfg, cache=cache)
 
+    def test_cache_of_another_assortment_is_refused(self):
+        # a cache of S = {a, b, c} must not score C = {a, b} within S = {a, b, d}
+        cfg = M.TCNetConfig(input_dim=5, hidden_dim=8, n_heads=2, seed=5)
+        params = M.init_params(cfg)
+        cat = D.ItemCatalog.one_hot(list("abcd"))
+        a, b, c, d = range(4)
+
+        def one_row(S, context=(0.1,)):
+            S = frozenset(S)
+            return D.pad_batch(cat, [D.ChoiceObservation(D.SEQUENTIAL, S, frozenset({a, b}), a, context=context)])
+
+        batch = one_row({a, b, d})
+        with no_grad():
+            own = M.encode_assortment(batch, params, cfg)
+            np.testing.assert_array_equal(
+                M.forward(batch, params, cfg, cache=own).probs, M.forward(batch, params, cfg).probs
+            )
+            for other in (one_row({a, b, c}), one_row({a, b, d}, context=(0.2,))):
+                cache = M.encode_assortment(other, params, cfg)
+                with pytest.raises(ShapeError, match="other assortments"):
+                    M.forward(batch, params, cfg, cache=cache)
+                with pytest.raises(ShapeError, match="other assortments"):
+                    M.forward_utilities(batch, params, cfg, cache=cache)
+
     def test_encoded_assortment_is_a_constant_under_grad(self):
         cfg, params = self._boost_net()
         S = frozenset(range(4))

@@ -571,6 +571,112 @@ class TestAttentionHeads:
                             np.ones((2, 3), bool), 2, SOFTMAX)
 
 
+def unblocked_attention(q, kv, key_mask, h, activation, scale, dy):
+    """``attention_heads`` over every row at once in plain numpy, in the same
+    order of operations, with its backward for the output gradient ``dy``:
+    the output, the weights and the gradients of q and kv."""
+    bsz, n, dq = q.shape
+    entries, m, width = kv.shape
+    dk, dv = dq // h, (width - dq) // h
+    keys = np.asarray(key_mask, bool)[:, None, None, :]
+    qh = q.reshape(bsz, n, h, dk).transpose(0, 2, 1, 3)
+    kh = kv[..., :dq].reshape(entries, m, h, dk).transpose(0, 2, 1, 3)
+    vh = kv[..., dq:].reshape(entries, m, h, dv).transpose(0, 2, 1, 3)
+    w = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
+    if activation == SOFTMAX:
+        w = w + np.where(keys, 0.0, -np.inf)
+        w = np.exp(w - w.max(axis=-1, keepdims=True))
+        w = w / w.sum(axis=-1, keepdims=True)
+    else:
+        live = (w > 0) & keys
+        w = (np.maximum(w, 0.0) + 1.0) * keys
+    out = np.matmul(w, vh).transpose(0, 2, 1, 3).reshape(bsz, n, h * dv)
+    dyh = dy.reshape(bsz, n, h, dv).transpose(0, 2, 1, 3)
+    g = np.matmul(dyh, vh.swapaxes(-1, -2))
+    if activation == SOFTMAX:
+        g = (g - (g * w).sum(axis=-1, keepdims=True)) * w
+    else:
+        g = g * live
+    g = g * scale
+    dqv = np.matmul(g, kh).transpose(0, 2, 1, 3).reshape(bsz, n, dq)
+    dkv = np.concatenate(
+        [np.matmul(qh.swapaxes(-1, -2), g).transpose(0, 3, 1, 2).reshape(bsz, m, dq),
+         np.matmul(w.swapaxes(-1, -2), dyh).transpose(0, 2, 1, 3).reshape(bsz, m, h * dv)],
+        axis=-1,
+    )
+    if entries == 1:
+        dkv = dkv.sum(axis=0, keepdims=True)
+    return out, w, dqv, dkv
+
+
+class TestBlockedAttention:
+    """``attention_heads`` runs its rows in blocks of ``BLOCK_BYTES`` of
+    weights; no result may depend on the blocks, bit for bit."""
+
+    N, M, H, DK, DV = 3, 4, 2, 2, 3
+    ROW_BYTES = 8 * H * N * M  # one row's weights
+
+    def run(self, rng, bsz, entries, key_mask, activation, n=N, h=H, dk=DK, dv=DV):
+        m = key_mask.shape[1]
+        q = Tensor(rng.normal(size=(bsz, n, h * dk)), requires_grad=True)
+        kv = Tensor(rng.normal(size=(entries, m, h * (dk + dv))), requires_grad=True)
+        dy = rng.normal(size=(bsz, n, h * dv))
+        out, w = attention_heads(q, kv, key_mask, h, activation, 0.6)
+        (out * Tensor(dy)).sum().backward()
+        ref = unblocked_attention(q.data, kv.data, key_mask, h, activation, 0.6, dy)
+        for got, want in zip((out.data, w, q.grad, kv.grad), ref):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("activation", [SOFTMAX, ONE_PLUS_RELU])
+    @pytest.mark.parametrize("bsz", [1, 7])
+    @pytest.mark.parametrize("shared", [False, True], ids=["G=B", "G=1"])
+    def test_matches_unblocked_reference(self, monkeypatch, activation, bsz, shared):
+        # blocks of 3 rows: 7 rows make two full blocks and one of a single row
+        monkeypatch.setattr(T, "BLOCK_BYTES", 3 * self.ROW_BYTES + 1)
+        rng = np.random.default_rng(bsz + 2 * shared)
+        entries = 1 if shared else bsz
+        every_key = np.ones((entries, self.M), bool)
+        # the first block attends to every key (no mask pass), later ones do not
+        masked = every_key.copy()
+        masked[3:, 1] = masked[-1, 2:] = False
+        if shared:
+            masked[0, 1] = False
+        for key_mask in (every_key, masked):
+            self.run(rng, bsz, entries, key_mask, activation)
+
+    @pytest.mark.parametrize("activation", [SOFTMAX, ONE_PLUS_RELU])
+    def test_block_rows_follow_from_the_shape(self, activation):
+        # the module's own block size on the bakery shape: 50 x 50 weights
+        # of 4 heads, 80 KB a row, so 20 rows make several blocks, the last
+        # one partial
+        bsz, n, h = 20, 50, 4
+        rows = T.BLOCK_BYTES // (8 * h * n * n)
+        assert 1 < rows < bsz and bsz % rows
+        key_mask = np.ones((bsz, n), bool)
+        key_mask[13:, 40:] = False
+        self.run(np.random.default_rng(3), bsz, bsz, key_mask, activation, n=n, h=h, dk=8, dv=8)
+
+    def test_fully_masked_row_in_the_last_block(self, monkeypatch):
+        # blocks of 2 rows; the last row of the last block attends to nothing
+        monkeypatch.setattr(T, "BLOCK_BYTES", 2 * self.ROW_BYTES)
+        q = Tensor(np.ones((6, self.N, self.H * self.DK)))
+        kv = Tensor(np.ones((6, self.M, self.H * (self.DK + self.DV))))
+        key_mask = np.ones((6, self.M), bool)
+        key_mask[5] = False
+        with pytest.raises(DegenerateRowError):
+            attention_heads(q, kv, key_mask, self.H, SOFTMAX)
+        out, w = attention_heads(q, kv, key_mask, self.H, ONE_PLUS_RELU)
+        assert (w[5] == 0).all() and (out.data[5] == 0).all() and (w[:5] > 0).all()
+
+    def test_overflow_in_a_later_block_names_the_op(self, monkeypatch):
+        monkeypatch.setattr(T, "BLOCK_BYTES", 2 * self.ROW_BYTES)
+        q = np.ones((5, self.N, self.H * self.DK))
+        q[4] = 1e200
+        kv = Tensor(np.full((1, self.M, self.H * (self.DK + self.DV)), 1e200))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="attention_heads"):
+            attention_heads(Tensor(q), kv, np.ones((1, self.M), bool), self.H, SOFTMAX)
+
+
 class TestTake:
     @pytest.mark.parametrize(
         "rows", [[2, 0, 2, 2], [1], [0, 1, 2, 3], [3, 3]], ids=["repeated", "single", "all", "one_entry"]
