@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -39,6 +40,8 @@ class ItemCatalog:
         if self.features.shape[0] != len(self.names):
             raise DataError("feature rows must match item count")
         self._index = {name: i for i, name in enumerate(self.names)}
+        # the feature rows and a zero row at index n, the padding index
+        self._padded_features = np.vstack([self.features, np.zeros(self.features.shape[1])])
 
     @classmethod
     def one_hot(cls, names: list[str]) -> "ItemCatalog":
@@ -110,9 +113,15 @@ class ChoiceDataset:
     kind: str
 
     def __post_init__(self):
+        k0 = len(self.observations[0].context or ()) if self.observations else 0
         for k, obs in enumerate(self.observations):
             if obs.kind != self.kind:
                 raise DataError(f"observation {k} has kind {obs.kind}, dataset is {self.kind}")
+            if len(obs.context or ()) != k0:
+                raise DataError(
+                    f"observation {k} has a context of length {len(obs.context or ())}, "
+                    f"observation 0 one of length {k0}"
+                )
             try:
                 obs.validate(self.catalog.item_count)
             except DataError as exc:
@@ -516,24 +525,15 @@ class PaddedBatch:
         return self.cand_features.shape[0]
 
 
-def _item_features(catalog: ItemCatalog, items: list[int], context) -> np.ndarray:
-    feats = catalog.features[items]
-    if context is not None:
-        ctx = np.tile(np.asarray(context, dtype=np.float64), (len(items), 1))
-        feats = np.concatenate([feats, ctx], axis=1)
-    return feats
-
-
-def _assortment_index(
-    observations: list[ChoiceObservation],
-) -> tuple[np.ndarray, list[ChoiceObservation]]:
+def _assortment_index(observations: list[ChoiceObservation]) -> tuple[np.ndarray, list[int]]:
     """Each row's distinct (assortment, context) number, by hashing, and the
-    first observation of each number."""
+    first row of each number."""
     firsts: dict = {}
     index = [
-        firsts.setdefault((o.assortment, o.context), (len(firsts), o))[0] for o in observations
+        firsts.setdefault((o.assortment, o.context), (len(firsts), b))[0]
+        for b, o in enumerate(observations)
     ]
-    return np.array(index), [o for _, o in firsts.values()]
+    return np.array(index), [b for _, b in firsts.values()]
 
 
 def effective_feature_dim(ds: ChoiceDataset) -> int:
@@ -541,15 +541,32 @@ def effective_feature_dim(ds: ChoiceDataset) -> int:
     return ds.catalog.feature_dim + (len(ctx) if ctx else 0)
 
 
-def _pad(catalog: ItemCatalog, sets: list[list[int]], contexts) -> tuple[np.ndarray, np.ndarray]:
-    """Features and mask of ``sets``, each padded to the largest."""
-    width = max(len(s) for s in sets)
-    d = catalog.feature_dim + (len(contexts[0]) if contexts[0] else 0)
-    feats = np.zeros((len(sets), width, d))
-    mask = np.zeros((len(sets), width), dtype=bool)
-    for b, (items, context) in enumerate(zip(sets, contexts)):
-        feats[b, : len(items)] = _item_features(catalog, items, context)
-        mask[b, : len(items)] = True
+def _contexts(observations: list[ChoiceObservation]) -> np.ndarray | None:
+    """The B x k context matrix of ``observations``, or None when k is 0."""
+    contexts = [o.context or () for o in observations]
+    k = len(contexts[0])
+    for b, c in enumerate(contexts):
+        if len(c) != k:
+            raise DataError(
+                f"batch row {b} has a context of length {len(c)}, row 0 one of length {k}"
+            )
+    return np.array(contexts, dtype=np.float64) if k else None
+
+
+def _pad(
+    catalog: ItemCatalog, sets: list[list[int]], contexts: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Features and mask of ``sets``, each padded to the largest with the
+    index n, whose row in ``catalog._padded_features`` is zero."""
+    n, width = catalog.item_count, max(map(len, sets))
+    pad = [n] * width
+    padded = chain.from_iterable([s + pad[len(s):] for s in sets])
+    idx = np.fromiter(padded, dtype=np.intp, count=len(sets) * width).reshape(len(sets), width)
+    mask = idx != n
+    feats = catalog._padded_features.take(idx, axis=0)
+    if contexts is not None:
+        ctx = np.where(mask[..., None], contexts[:, None, :], 0.0)
+        feats = np.concatenate([feats, ctx], axis=-1)
     return feats, mask
 
 
@@ -559,17 +576,17 @@ def pad_batch(catalog: ItemCatalog, observations: list[ChoiceObservation]) -> Pa
     cand_sets = [
         sorted(o.assortment if o.candidates is None else o.candidates) for o in observations
     ]
-    fc, mc = _pad(catalog, cand_sets, [o.context for o in observations])
+    contexts = _contexts(observations)
+    fc, mc = _pad(catalog, cand_sets, contexts)
     index, firsts = _assortment_index(observations)
-    assort_sets = [sorted(o.assortment) for o in firsts]
-    fs, ms = _pad(catalog, assort_sets, [o.context for o in firsts])
+    assort_sets = [sorted(observations[b].assortment) for b in firsts]
+    fs, ms = _pad(catalog, assort_sets, None if contexts is None else contexts[firsts])
     labels = label_mask = None
     if all(o.choice is not None for o in observations):
         labels = np.array([c.index(o.choice) for c, o in zip(cand_sets, observations)])
     if all(o.basket is not None for o in observations):
         label_mask = np.zeros(mc.shape, dtype=bool)
-        for b, (items, obs) in enumerate(zip(cand_sets, observations)):
-            label_mask[b, : len(items)] = [i in obs.basket for i in items]
+        label_mask[mc] = [i in o.basket for c, o in zip(cand_sets, observations) for i in c]
     return PaddedBatch(fc, fs, mc, ms, labels, label_mask, cand_sets, assort_sets, index)
 
 

@@ -73,7 +73,7 @@ def _as_array(data) -> np.ndarray:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values produced by '{op}'")
 
 

@@ -80,7 +80,10 @@ def xavier_init(shape: tuple, rng: np.random.Generator) -> Tensor:
 
 
 class Adam:
-    """Standard Adam with bias correction over a named parameter dict."""
+    """Standard Adam with bias correction over a named parameter dict.
+
+    The moments are two flat vectors holding every parameter in dict order,
+    so a step runs each elementwise update once over all parameters."""
 
     def __init__(
         self,
@@ -96,22 +99,43 @@ class Adam:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self._slices, size = [], 0  # each parameter's slice of the flat vectors
+        for p in params.values():
+            self._slices.append(slice(size, size + p.data.size))
+            size += p.data.size
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
     def step(self) -> None:
+        params = list(self.params.values())
+        g = np.concatenate([p.grad.ravel() for p in params])
+        if not np.isfinite(g).all():
+            bad = next(k for k, p in self.params.items() if not np.isfinite(p.grad).all())
+            raise DivergedError(f"non-finite gradient in parameter {bad!r}")
         self.t += 1
-        for k, p in self.params.items():
-            g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise DivergedError(f"non-finite gradient in parameter {k!r}")
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
-            m_hat = self.m[k] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[k] / (1 - self.beta2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        if self.weight_decay:
+            w = np.concatenate([p.data.ravel() for p in params])
+            w *= self.weight_decay
+            g += w
+            del w
+        # the textbook expressions, operation for operation, computed in
+        # place: g becomes lr * m_hat and g2 the denominator, so a step holds
+        # two vectors besides the moments (the graph is still alive here)
+        g2 = (1 - self.beta2) * g
+        g2 *= g
+        g *= 1 - self.beta1
+        self.m *= self.beta1
+        self.m += g
+        self.v *= self.beta2
+        self.v += g2
+        np.divide(self.m, 1 - self.beta1 ** self.t, out=g)
+        np.divide(self.v, 1 - self.beta2 ** self.t, out=g2)
+        np.sqrt(g2, out=g2)
+        g2 += self.eps
+        g *= self.lr
+        g /= g2
+        for p, sl in zip(params, self._slices):
+            p.data -= g[sl].reshape(p.data.shape)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -1,3 +1,5 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -335,3 +337,118 @@ class TestBatching:
         batch = D.pad_batch(cat, [obs])
         assert batch.cand_features.shape == (1, 2, 4)
         np.testing.assert_array_equal(batch.cand_features[0, 0, 2:], [0.5, -1.0])
+
+    def test_mixed_context_lengths_fail(self):
+        cat = D.ItemCatalog.one_hot(list("abc"))
+        S = frozenset({0, 1})
+
+        def obs(context):
+            return D.ChoiceObservation(D.SEQUENTIAL, S, candidates=S, choice=0, context=context)
+
+        with pytest.raises(D.DataError, match="observation 1 has a context of length 2"):
+            D.ChoiceDataset(cat, [obs(None), obs((1.0, 2.0))], D.SEQUENTIAL)
+        with pytest.raises(D.DataError, match="observation 2 has a context of length 1"):
+            D.ChoiceDataset(cat, [obs((1.0, 2.0)), obs((0.0, 0.0)), obs((3.0,))], D.SEQUENTIAL)
+        for contexts in ([None, (1.0, 2.0)], [(1.0,), (1.0, 2.0)], [(1.0, 2.0), None]):
+            with pytest.raises(D.DataError, match="batch row 1 has a context"):
+                D.pad_batch(cat, [obs(c) for c in contexts])
+
+
+# -- property test of the padder against the per-row padding it replaced -----
+
+
+def _reference_pad(catalog, sets, contexts):
+    width = max(len(s) for s in sets)
+    d = catalog.feature_dim + (len(contexts[0]) if contexts[0] else 0)
+    feats = np.zeros((len(sets), width, d))
+    mask = np.zeros((len(sets), width), dtype=bool)
+    for b, (items, context) in enumerate(zip(sets, contexts)):
+        row = catalog.features[items]
+        if context is not None:
+            ctx = np.tile(np.asarray(context, dtype=np.float64), (len(items), 1))
+            row = np.concatenate([row, ctx], axis=1)
+        feats[b, : len(items)] = row
+        mask[b, : len(items)] = True
+    return feats, mask
+
+
+def _reference_pad_batch(catalog, observations):
+    cand_sets = [
+        sorted(o.assortment if o.candidates is None else o.candidates) for o in observations
+    ]
+    fc, mc = _reference_pad(catalog, cand_sets, [o.context for o in observations])
+    firsts: dict = {}
+    index = [
+        firsts.setdefault((o.assortment, o.context), (len(firsts), o))[0] for o in observations
+    ]
+    first_obs = [o for _, o in firsts.values()]
+    assort_sets = [sorted(o.assortment) for o in first_obs]
+    fs, ms = _reference_pad(catalog, assort_sets, [o.context for o in first_obs])
+    labels = label_mask = None
+    if all(o.choice is not None for o in observations):
+        labels = np.array([c.index(o.choice) for c, o in zip(cand_sets, observations)])
+    if all(o.basket is not None for o in observations):
+        label_mask = np.zeros(mc.shape, dtype=bool)
+        for b, (items, obs) in enumerate(zip(cand_sets, observations)):
+            label_mask[b, : len(items)] = [i in obs.basket for i in items]
+    return D.PaddedBatch(
+        fc, fs, mc, ms, labels, label_mask, cand_sets, assort_sets, np.array(index)
+    )
+
+
+_values = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _catalog_and_batch(draw):
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        catalog = D.ItemCatalog.one_hot([f"i{k}" for k in range(n)])
+    else:
+        d = draw(st.integers(1, 4))
+        rows = draw(st.lists(st.lists(_values, min_size=d, max_size=d), min_size=n, max_size=n))
+        catalog = D.ItemCatalog([f"i{k}" for k in range(n)], np.array(rows))
+    k = draw(st.integers(0, 3))
+    nonempty = st.sets(st.integers(0, n - 1), min_size=1).map(frozenset)
+    # a few assortments and contexts, reused so that rows share entries
+    assortments = draw(st.lists(nonempty, min_size=1, max_size=3))
+    contexts = draw(st.lists(
+        st.tuples(*[_values] * k) if k else st.none(), min_size=1, max_size=2
+    ))
+    observations = []
+    for _ in range(draw(st.integers(1, 8))):
+        S = draw(st.sampled_from(assortments))
+        context = draw(st.sampled_from(contexts))
+        subset = st.sets(st.sampled_from(sorted(S)), min_size=1).map(frozenset)
+        if draw(st.booleans()):
+            C = draw(subset)
+            choice = draw(st.sampled_from(sorted(C)))
+            observations.append(D.ChoiceObservation(
+                D.SEQUENTIAL, S, candidates=C, choice=choice, context=context
+            ))
+        else:
+            observations.append(D.ChoiceObservation(
+                D.MULTI, S, basket=draw(subset), context=context
+            ))
+    return catalog, observations
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_catalog_and_batch())
+def test_pad_batch_matches_per_row_padding(case):
+    catalog, observations = case
+    batch = D.pad_batch(catalog, observations)
+    want = _reference_pad_batch(catalog, observations)
+    for field in ("cand_features", "assort_features", "cand_mask", "assort_mask",
+                  "labels", "label_mask", "assort_index"):
+        got, ref = getattr(batch, field), getattr(want, field)
+        if ref is None:
+            assert got is None, field
+            continue
+        assert got.dtype == ref.dtype and got.shape == ref.shape, field
+        assert np.array_equal(got, ref), field
+        assert got.flags.writeable, field
+    for field in ("cand_features", "assort_features"):
+        assert np.array_equal(np.signbit(getattr(batch, field)), np.signbit(getattr(want, field)))
+    assert batch.cand_items == want.cand_items
+    assert batch.assort_items == want.assort_items

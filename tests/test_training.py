@@ -121,6 +121,66 @@ class TestAdam:
         opt = T.Adam({"p": p})
         with pytest.raises(T.DivergedError):
             opt.step()
+        # with two non-finite parameters, the first in dict order is named
+        params = {k: Tensor(np.ones(3), requires_grad=True) for k in ("a", "b", "c", "d")}
+        for p in params.values():
+            p.grad = np.zeros(3)
+        params["c"].grad[1] = np.inf
+        params["b"].grad[2] = np.nan
+        with pytest.raises(T.DivergedError, match="parameter 'b'"):
+            T.Adam(params).step()
+
+    def test_matches_per_parameter_adam(self):
+        # the one-pass Adam against a copy of the update run parameter by
+        # parameter, with every buffer compared for exact equality
+        rng = np.random.default_rng(0)
+        shapes = {"W": (3, 4), "b": (5,), "cube": (2, 3, 2), "one": (1, 1)}
+        start = {k: rng.normal(size=s) for k, s in shapes.items()}
+        flat = {k: Tensor(v.copy(), requires_grad=True) for k, v in start.items()}
+        ref = {k: Tensor(v.copy(), requires_grad=True) for k, v in start.items()}
+        for params in (flat, ref):
+            for p in params.values():
+                p.grad = np.zeros_like(p.data)
+        opt = T.Adam(flat, lr=0.01, weight_decay=0.05)
+        ref_opt = _ReferenceAdam(ref, lr=0.01, weight_decay=0.05)
+        for step in range(20):
+            for k, s in shapes.items():
+                g = rng.normal(size=s) * 10.0 ** rng.integers(-3, 3)
+                if k == "cube":
+                    # a fresh array, as a caller that assigns p.grad passes
+                    flat[k].grad, ref[k].grad = g.copy(), g.copy()
+                else:
+                    flat[k].grad[...] = g
+                    ref[k].grad[...] = g
+            grads = {k: p.grad.copy() for k, p in flat.items()}
+            opt.step()
+            ref_opt.step()
+            for k in shapes:
+                assert np.array_equal(flat[k].data, ref[k].data), (step, k)
+                assert np.array_equal(flat[k].grad, grads[k]), (step, k)
+
+
+class _ReferenceAdam:
+    """Adam updated parameter by parameter, as a reference for ``T.Adam``."""
+
+    def __init__(self, params, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr, self.weight_decay = params, lr, weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def step(self):
+        self.t += 1
+        for k, p in self.params.items():
+            g = p.grad
+            if self.weight_decay:
+                g = g + self.weight_decay * p.data
+            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
+            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
+            m_hat = self.m[k] / (1 - self.beta1 ** self.t)
+            v_hat = self.v[k] / (1 - self.beta2 ** self.t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 class TestSchedule:
