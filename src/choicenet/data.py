@@ -106,6 +106,19 @@ class ChoiceObservation:
             raise DataError(f"unknown kind {self.kind!r}")
 
 
+def _context_length(observations: list[ChoiceObservation], what: str) -> int:
+    """The context length all ``observations`` share (0 without contexts);
+    raises DataError naming the first ``what`` whose length differs."""
+    lengths = [len(o.context or ()) for o in observations]
+    k = lengths[0]
+    if lengths.count(k) != len(lengths):
+        b = next(b for b, kb in enumerate(lengths) if kb != k)
+        raise DataError(
+            f"{what} {b} has a context of length {lengths[b]}, {what} 0 one of length {k}"
+        )
+    return k
+
+
 @dataclass
 class ChoiceDataset:
     catalog: ItemCatalog
@@ -113,15 +126,11 @@ class ChoiceDataset:
     kind: str
 
     def __post_init__(self):
-        k0 = len(self.observations[0].context or ()) if self.observations else 0
+        if self.observations:
+            _context_length(self.observations, "observation")
         for k, obs in enumerate(self.observations):
             if obs.kind != self.kind:
                 raise DataError(f"observation {k} has kind {obs.kind}, dataset is {self.kind}")
-            if len(obs.context or ()) != k0:
-                raise DataError(
-                    f"observation {k} has a context of length {len(obs.context or ())}, "
-                    f"observation 0 one of length {k0}"
-                )
             try:
                 obs.validate(self.catalog.item_count)
             except DataError as exc:
@@ -543,14 +552,9 @@ def effective_feature_dim(ds: ChoiceDataset) -> int:
 
 def _contexts(observations: list[ChoiceObservation]) -> np.ndarray | None:
     """The B x k context matrix of ``observations``, or None when k is 0."""
-    contexts = [o.context or () for o in observations]
-    k = len(contexts[0])
-    for b, c in enumerate(contexts):
-        if len(c) != k:
-            raise DataError(
-                f"batch row {b} has a context of length {len(c)}, row 0 one of length {k}"
-            )
-    return np.array(contexts, dtype=np.float64) if k else None
+    if not _context_length(observations, "batch row"):
+        return None
+    return np.array([o.context for o in observations], dtype=np.float64)
 
 
 def _pad(
