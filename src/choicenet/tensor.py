@@ -7,7 +7,11 @@ scalar runs the tape in reverse topological order and accumulates gradients
 into every ``requires_grad`` tensor. Leaves created with ``requires_grad``
 own a gradient buffer from the start; an op's output gets one only when
 ``backward()`` first reaches it, and tensors that do not require grad never
-get one.
+get one. ``backward()`` frees the graph as it goes: each node drops its
+parents and its backward closure once that backward has run, so after the
+pass only the tensors the caller still holds (the leaves, the root, any
+intermediate it kept) have a ``grad``, and a second ``backward()`` through
+the same graph raises.
 """
 
 from __future__ import annotations
@@ -108,6 +112,14 @@ def _accumulate(t: "Tensor", g, fresh: bool = True) -> None:
         t.grad = g if fresh and type(g) is np.ndarray else np.array(g, order="C")
     else:
         t.grad += g
+
+
+def _freed(dy) -> None:
+    """The backward of a node that ``backward()`` has already run and freed."""
+    raise RuntimeError(
+        "backward through a graph that an earlier backward() freed; "
+        "run the forward again to get a new graph"
+    )
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -338,14 +350,14 @@ class Tensor:
         d = self.shape[-1]
         if gain.shape != (d,) or bias.shape != (d,):
             raise ShapeError("layer_norm gain/bias must match last dim")
-        xc = self.data - self.data.mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+        xc = self.data - self.data.sum(axis=-1, keepdims=True) / d
+        inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
         xhat = xc * inv
 
         def backward(dy, a=self, g=gain, b=bias, xh=xhat, iv=inv):
             gdy = dy * g.data
-            m1 = gdy.mean(axis=-1, keepdims=True)
-            m2 = (gdy * xh).mean(axis=-1, keepdims=True)
+            m1 = gdy.sum(axis=-1, keepdims=True) / d
+            m2 = (gdy * xh).sum(axis=-1, keepdims=True) / d
             _accumulate(a, (gdy - m1 - xh * m2) * iv)
             axes = tuple(range(dy.ndim - 1))
             if g.requires_grad:
@@ -374,7 +386,9 @@ class Tensor:
 
     def backward(self) -> None:
         """Reverse-mode pass from a scalar; accumulates into the ``grad`` of
-        every tensor on the graph that requires grad."""
+        every tensor on the graph that requires grad, and frees the graph as
+        it goes (see the module docstring). A second ``backward()`` through a
+        freed node raises ``RuntimeError`` before any gradient moves."""
         if self.data.ndim != 0 and self.data.size != 1:
             raise ShapeError("backward requires a scalar loss")
         order: list[Tensor] = []
@@ -387,15 +401,20 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _freed:
+                _freed(None)
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while order:
+            node = order.pop()
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node._backward, node._parents = _freed, ()
 
 
 SOFTMAX = "softmax"

@@ -120,7 +120,7 @@ class Adam:
             del w
         # the textbook expressions, operation for operation, computed in
         # place: g becomes lr * m_hat and g2 the denominator, so a step holds
-        # two vectors besides the moments (the graph is still alive here)
+        # two vectors besides the moments (backward() has freed the graph)
         g2 = (1 - self.beta2) * g
         g2 *= g
         g *= 1 - self.beta1

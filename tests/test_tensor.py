@@ -266,19 +266,51 @@ class TestLazyGradients:
         x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
         bias = Tensor(np.zeros(4), requires_grad=True)
         h = x.scale(1.0)
+        # bound to names, since backward() empties every node's _parents
+        inner_reshape, inner_transpose, relu = h.reshape(2, 4, 3), h.transpose_last(), h.relu()
         siblings = [
-            h.add_bias(bias), h.shift(1.0), h.reshape(2, 4, 3).reshape(2, 3, 4),
-            h.transpose_last().transpose_last(), h + h.relu(),
+            h.add_bias(bias), h.shift(1.0), inner_reshape.reshape(2, 3, 4),
+            inner_transpose.transpose_last(), h + relu,
         ]
         tail = concat([h, *siblings], axis=-1)
         tail.sum().backward()
-        graph = [x, bias, h, tail, *siblings]
-        for node in siblings:
-            graph.extend(node._parents)
+        graph = [x, bias, h, tail, *siblings, inner_reshape, inner_transpose, relu]
         for i, p in enumerate(graph):
             for q in graph[i + 1:]:
                 if p is not q:
                     assert not np.shares_memory(p.grad, q.grad)
+
+    def test_second_backward_from_the_root_raises(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        s = x.scale(1.0).scale(1.0).scale(1.0).sum()
+        s.backward()
+        np.testing.assert_array_equal(x.grad, [1.0, 1.0])
+        with pytest.raises(RuntimeError, match="earlier backward"):
+            s.backward()
+        np.testing.assert_array_equal(x.grad, [1.0, 1.0])
+
+    def test_new_graph_on_a_consumed_intermediate_raises(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        h = x.scale(3.0)
+        h.sum().backward()
+        np.testing.assert_array_equal(h.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+        with pytest.raises(RuntimeError, match="earlier backward"):
+            h.scale(2.0).sum().backward()
+        # the pass raised before it moved any gradient
+        np.testing.assert_array_equal(h.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    def test_backward_frees_the_graph(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        h = x.scale(3.0)
+        y = h.relu()
+        s = (h + y).sum()
+        s.backward()
+        for node in (h, y, s):
+            assert node._parents == () and node._backward is not None
+        assert x._backward is None
+        np.testing.assert_array_equal(x.grad, [6.0, 3.0])
 
     def test_leaves_without_grad_stay_none(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -269,6 +272,68 @@ class TestTrainLoop:
         tc = T.TrainConfig(epochs=2, batch_size=16, seed=0)
         params, report = T.train(mc, splits, tc, objective="ce")
         assert all(np.isfinite(v) for v in report.val_losses)
+
+
+def bakery_step_inputs():
+    """A 64-row bakery-shaped training batch: every row offers the whole
+    50-item one-hot catalog as its assortment and all but up to three drawn
+    items as candidates; and a dv-32, 4-head network for it."""
+    rows, n_items = 64, 50
+    rng = np.random.default_rng(0)
+    cat = D.ItemCatalog([f"i{k}" for k in range(n_items)], np.eye(n_items))
+    items = frozenset(range(n_items))
+    obs = []
+    for _ in range(rows):
+        drawn = rng.choice(n_items, size=rng.integers(0, 4), replace=False)
+        cand = items - set(drawn.tolist())
+        choice = int(rng.choice(sorted(cand)))
+        obs.append(D.ChoiceObservation(D.SEQUENTIAL, items, candidates=cand, choice=choice))
+    mc = small_config(input_dim=n_items, hidden_dim=32, n_heads=4, dropout_rate=0.1)
+    return D.pad_batch(cat, obs), M.init_params(mc), mc
+
+
+def count_tensors() -> int:
+    return sum(isinstance(o, Tensor) for o in gc.get_objects())
+
+
+class TestTapeLifetime:
+    """``backward()`` frees the graph as it walks it, so a training step
+    holds one graph at a time."""
+
+    def step(self, batch, params, mc):
+        u = M.forward_utilities(batch, params, mc, True, np.random.default_rng(1))
+        return T.ce_loss(u.masked_softmax(batch.cand_mask), batch.labels)
+
+    def test_only_params_and_root_outlive_backward(self):
+        batch, params, mc = bakery_step_inputs()
+        gc.collect()
+        before = count_tensors()
+        # with the collector off, only reference counting frees the graph
+        gc.disable()
+        try:
+            loss = self.step(batch, params, mc)
+            assert count_tensors() > before + 10
+            loss.backward()
+            after = count_tensors()
+        finally:
+            gc.enable()
+        assert after == before + 1
+
+    def test_memory_after_backward_and_peak(self):
+        batch, params, mc = bakery_step_inputs()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss = self.step(batch, params, mc)
+            forward = tracemalloc.get_traced_memory()[0] - base
+            loss.backward()
+            live, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert forward > 10e6
+        assert live < 0.01 * forward
+        assert peak <= 1.25 * forward
 
 
 class TestGridSearch:
