@@ -534,14 +534,11 @@ class PaddedBatch:
         return self.cand_features.shape[0]
 
 
-def _assortment_index(observations: list[ChoiceObservation]) -> tuple[np.ndarray, list[int]]:
-    """Each row's distinct (assortment, context) number, by hashing, and the
-    first row of each number."""
+def first_appearance(keys) -> tuple[np.ndarray, list[int]]:
+    """Each key's distinct number, by hashing, in order of first appearance,
+    and the position of each number's first key."""
     firsts: dict = {}
-    index = [
-        firsts.setdefault((o.assortment, o.context), (len(firsts), b))[0]
-        for b, o in enumerate(observations)
-    ]
+    index = [firsts.setdefault(key, (len(firsts), b))[0] for b, key in enumerate(keys)]
     return np.array(index), [b for _, b in firsts.values()]
 
 
@@ -582,7 +579,7 @@ def pad_batch(catalog: ItemCatalog, observations: list[ChoiceObservation]) -> Pa
     ]
     contexts = _contexts(observations)
     fc, mc = _pad(catalog, cand_sets, contexts)
-    index, firsts = _assortment_index(observations)
+    index, firsts = first_appearance((o.assortment, o.context) for o in observations)
     assort_sets = [sorted(observations[b].assortment) for b in firsts]
     fs, ms = _pad(catalog, assort_sets, None if contexts is None else contexts[firsts])
     labels = label_mask = None

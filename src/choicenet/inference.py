@@ -192,7 +192,8 @@ def f1_loss(predicted: list[frozenset], actual: list[frozenset]) -> float:
 
 def _membership_probs(params, config, ds: ChoiceDataset):
     """Per basket of ``ds``, its sorted assortment items and their sigmoid
-    utilities, from batched forward passes."""
+    utilities, from batched forward passes that score each distinct
+    (assortment, context) of a batch once."""
     if ds.kind != MULTI:
         raise ValueError(f"task multi but dataset kind {ds.kind}")
     rows = []
@@ -212,7 +213,8 @@ def _threshold_f1(rows, ds: ChoiceDataset, mu: float) -> float:
 
 def evaluate(params, config, ds: ChoiceDataset, task: str, mu: float = 0.5) -> dict:
     """CE for single/sequential tasks, F1 loss (thresholded) for multi, from
-    batched forward passes."""
+    batched forward passes that score each distinct row of a batch once; each
+    row keeps its own choice or basket."""
     if task in (SINGLE, SEQUENTIAL):
         if ds.kind != task:
             raise ValueError(f"task {task} but dataset kind {ds.kind}")
@@ -232,7 +234,8 @@ def evaluate(params, config, ds: ChoiceDataset, task: str, mu: float = 0.5) -> d
 
 def tune_threshold(params, config, val_ds: ChoiceDataset, grid=(0.1, 0.3, 0.5, 0.7, 0.9)):
     """Pick the threshold minimizing validation F1 loss; the utilities are
-    computed once for the whole grid."""
+    computed once for the whole grid, each distinct (assortment, context) of
+    a batch scored once."""
     rows = _membership_probs(params, config, val_ds)
     best_mu, best_loss = None, np.inf
     for mu in grid:

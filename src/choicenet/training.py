@@ -4,7 +4,7 @@ the one batched evaluator."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -210,10 +210,28 @@ def network_utilities(config: M.TCNetConfig):
 
 def batch_utilities(ds: D.ChoiceDataset, params, utilities, batch_size: int = 256):
     """Yield ``(batch, utilities)`` over the unshuffled batches of ``ds``,
-    computed without recording a graph."""
+    computed without recording a graph.
+
+    Each distinct row of a batch is scored once: rows with the same sorted
+    candidates and the same (assortment, context) entry read the same inputs,
+    so the first of them is forwarded and its utilities are copied to the
+    others. Each row keeps its own labels in ``batch``."""
     for batch in D.make_batches(ds, batch_size, shuffle=False):
+        index, firsts = D.first_appearance(
+            zip(map(tuple, batch.cand_items), batch.assort_index.tolist())
+        )
+        # the first rows on the candidate side; the entries stay as they are
+        scored = replace(
+            batch,
+            cand_features=batch.cand_features[firsts],
+            cand_mask=batch.cand_mask[firsts],
+            labels=None,
+            label_mask=None,
+            cand_items=[batch.cand_items[b] for b in firsts],
+            assort_index=batch.assort_index[firsts],
+        )
         with no_grad():
-            u = utilities(batch, params, False, None)
+            u = Tensor(utilities(scored, params, False, None).data[index])
         yield batch, u  # outside no_grad(): the consumer keeps its own grad mode
 
 
@@ -230,7 +248,8 @@ def dataset_loss(
     ds: D.ChoiceDataset, params, utilities, objective: str = "ce", batch_size: int = 256
 ) -> float:
     """Mean loss of a model over ``ds``: per observation for "ce", per valid
-    assortment position for "binary_ce"."""
+    assortment position for "binary_ce". Each distinct row of a batch is
+    scored once (``batch_utilities``); every row adds its own loss."""
     total, count = 0.0, 0
     for batch, u in batch_utilities(ds, params, utilities, batch_size):
         if objective == "ce":

@@ -1,13 +1,17 @@
 import gc
 import tracemalloc
+from unittest import mock
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
 from choicenet import data as D
+from choicenet import inference as I
 from choicenet import model as M
 from choicenet import training as T
-from choicenet.tensor import Tensor
+from choicenet.tensor import ONE_PLUS_RELU, SOFTMAX, Tensor, no_grad
 
 
 class TestCeLoss:
@@ -367,3 +371,187 @@ def test_report_text_contains_losses():
     text = r.to_text()
     assert "best_epoch\t0" in text
     assert "1.000000" in text
+
+
+# -- the batched evaluator scores each distinct row once ----------------------
+
+
+def _reference_batch_utilities(ds, params, utilities, batch_size=256):
+    """The evaluator's loop that forwards every row of every batch."""
+    for batch in D.make_batches(ds, batch_size, shuffle=False):
+        with no_grad():
+            u = utilities(batch, params, False, None)
+        yield batch, u
+
+
+def _row_counter(utilities):
+    """``utilities`` that records the rows of each batch it scores outside
+    training, and the list it records them in."""
+    rows = []
+
+    def counted(batch, params, training=False, rng=None):
+        if not training:
+            rows.append(batch.size)
+        return utilities(batch, params, training, rng)
+
+    return counted, rows
+
+
+@st.composite
+def _evaluation_case(draw):
+    """A small dataset whose rows repeat, a network for it and a batch size.
+
+    Rows are drawn from two (S, C) pairs per assortment and from a few
+    contexts, so rows repeat in (S, C) alone, and some drawn rows are
+    repeated in (S, C, context) with other choices or baskets. With "shared"
+    every batch has one entry (G = 1); with "distinct" each row has a
+    context of its own (G = B) and no row repeats."""
+    n = draw(st.integers(2, 5))
+    entries = draw(st.sampled_from(["shared", "mixed", "distinct"]))
+    k = 2 if entries == "distinct" else draw(st.sampled_from([0, 2]))
+    kind = draw(st.sampled_from([D.SEQUENTIAL, D.MULTI]))
+    value = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    subset = lambda S: st.sets(st.sampled_from(sorted(S)), min_size=1).map(frozenset)
+    if entries == "shared":
+        assortments = [frozenset(range(n))]
+    else:
+        assortments = draw(st.lists(subset(range(n)), min_size=1, max_size=3))
+    pairs = [(S, draw(subset(S))) for S in assortments for _ in range(2)]
+    contexts = [None]
+    if k:
+        n_contexts = 1 if entries == "shared" else 2
+        contexts = draw(st.lists(st.tuples(value, value), min_size=1, max_size=n_contexts))
+    rows = []
+    for r in range(draw(st.integers(1, 12))):
+        S, C = draw(st.sampled_from(pairs))
+        if entries == "distinct":
+            context = (float(r), draw(value))
+        else:
+            context = draw(st.sampled_from(contexts))
+        rows.append((S, C, context))
+    if entries != "distinct":
+        # forced repeats of drawn rows, each with a choice or basket of its own
+        rows += draw(st.lists(st.sampled_from(rows), min_size=1, max_size=6))
+    observations = []
+    for S, C, context in draw(st.permutations(rows)):
+        if kind == D.SEQUENTIAL:
+            choice = draw(st.sampled_from(sorted(C)))
+            observations.append(
+                D.ChoiceObservation(kind, S, candidates=C, choice=choice, context=context)
+            )
+        else:
+            basket = draw(subset(S))
+            observations.append(D.ChoiceObservation(kind, S, basket=basket, context=context))
+    ds = D.ChoiceDataset(D.ItemCatalog.one_hot([f"i{j}" for j in range(n)]), observations, kind)
+    config = small_config(
+        input_dim=n + k,
+        hidden_dim=4,
+        n_heads=draw(st.sampled_from([1, 2])),
+        attention_activation=draw(st.sampled_from([SOFTMAX, ONE_PLUS_RELU])),
+    )
+    params = M.init_params(config, np.random.default_rng(draw(st.integers(0, 2**16))))
+    return ds, params, config, draw(st.one_of(st.integers(1, len(observations)), st.just(256)))
+
+
+def _evaluations(ds, params, config, batch_size):
+    """Every consumer of the batched evaluator on ``ds``, as flat floats."""
+    utilities = T.network_utilities(config)
+    if ds.kind == D.SEQUENTIAL:
+        return [
+            T.dataset_loss(ds, params, utilities, "ce", batch_size),
+            *I.evaluate(params, config, ds, D.SEQUENTIAL)["per_sample"],
+        ]
+    return [
+        T.dataset_loss(ds, params, utilities, "binary_ce", batch_size),
+        I.evaluate(params, config, ds, D.MULTI)["f1_loss"],
+        *I.tune_threshold(params, config, ds),
+    ]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_evaluation_case())
+def test_batched_evaluator_matches_forwarding_every_row(case):
+    got = _evaluations(*case)
+    with mock.patch.object(T, "batch_utilities", _reference_batch_utilities):
+        want = _evaluations(*case)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestDistinctRows:
+    S = frozenset(range(4))
+    C = frozenset({0, 1, 2})
+
+    def net(self, input_dim):
+        config = small_config(input_dim=input_dim)
+        return M.init_params(config, np.random.default_rng(4)), config
+
+    def scored(self, ds, params, config, batch_size=256):
+        """The rows handed to the utilities and the utilities yielded."""
+        counted, rows = _row_counter(T.network_utilities(config))
+        yielded = [u.data for _, u in T.batch_utilities(ds, params, counted, batch_size)]
+        return rows, yielded
+
+    def test_rows_differing_only_in_context_are_not_merged(self):
+        obs = [
+            D.ChoiceObservation(D.SEQUENTIAL, self.S, candidates=self.C, choice=0, context=(c,))
+            for c in (0.0, 1.0, 0.0)
+        ]
+        ds = D.ChoiceDataset(D.ItemCatalog.one_hot(list("abcd")), obs, D.SEQUENTIAL)
+        params, config = self.net(5)
+        rows, (u,) = self.scored(ds, params, config)
+        assert rows == [2]
+        assert not np.array_equal(u[0, :3], u[1, :3])
+        np.testing.assert_array_equal(u[0], u[2])
+        (_, ref), = _reference_batch_utilities(ds, params, T.network_utilities(config))
+        np.testing.assert_array_equal(u[:, :3], ref.data[:, :3])
+
+    def test_repeated_rows_keep_their_own_nll(self):
+        cat = D.ItemCatalog.one_hot(list("abcd"))
+        obs = [
+            D.ChoiceObservation(D.SEQUENTIAL, self.S, candidates=self.C, choice=c)
+            for c in (0, 2, 0, 1)
+        ]
+        ds = D.ChoiceDataset(cat, obs, D.SEQUENTIAL)
+        params, config = self.net(4)
+        rows, _ = self.scored(ds, params, config)
+        assert rows == [1]
+        per_sample = I.evaluate(params, config, ds, D.SEQUENTIAL)["per_sample"]
+        items, probs = I.predict_sequential(params, config, cat, self.C, self.S)
+        want = [-np.log(probs[items.index(o.choice)]) for o in obs]
+        np.testing.assert_allclose(per_sample, want, rtol=0, atol=1e-12)
+        assert per_sample[0] == per_sample[2] != per_sample[1]
+
+    def test_multi_baskets_over_one_assortment_score_one_row(self):
+        rng = np.random.default_rng(0)
+        obs = [
+            D.ChoiceObservation(D.MULTI, self.S, basket=frozenset(rng.choice(4, 2, replace=False)))
+            for _ in range(20)
+        ]
+        ds = D.ChoiceDataset(D.ItemCatalog.one_hot(list("abcd")), obs, D.MULTI)
+        params, config = self.net(4)
+        rows, _ = self.scored(ds, params, config)
+        assert rows == [1]
+
+    def test_fit_validates_distinct_rows_once(self):
+        train, _, _ = small_splits()
+        candidates = [self.C, self.S, frozenset({1, 3})]
+        val_obs = [
+            D.ChoiceObservation(D.SEQUENTIAL, self.S, candidates=C, choice=min(C))
+            for _ in range(4) for C in candidates
+        ]
+        val = D.ChoiceDataset(train.catalog, val_obs, D.SEQUENTIAL)
+        params, config = self.net(4)
+        counted, rows = _row_counter(T.network_utilities(config))
+        tc = T.TrainConfig(epochs=2, batch_size=16, seed=0)
+        T.fit(params, counted, (train, val, val), tc)
+        assert rows == [3, 3]
+
+    def test_distinct_rows_are_all_scored(self):
+        subsets = [frozenset(s) for s in ({0}, {1}, {0, 1}, {1, 2}, {0, 2, 3}, {3}, {0, 1, 2, 3})]
+        obs = [
+            D.ChoiceObservation(D.SEQUENTIAL, self.S, candidates=C, choice=min(C)) for C in subsets
+        ]
+        ds = D.ChoiceDataset(D.ItemCatalog.one_hot(list("abcd")), obs, D.SEQUENTIAL)
+        params, config = self.net(4)
+        rows, _ = self.scored(ds, params, config, batch_size=4)
+        assert rows == [4, 3]
