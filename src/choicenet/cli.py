@@ -116,14 +116,16 @@ def cmd_train(args) -> int:
 def _reduce_splits(splits, task, seed):
     """Fix one expansion of multi-basket val/test splits for a sequential
     task; ``training.fit`` expands the train split anew every epoch."""
-    if task == "multi":
-        return splits
-    return tuple(
-        D.multi_to_sequential(part, np.random.default_rng(seed + 100 + k))
-        if k > 0 and part.kind == D.MULTI
-        else part
-        for k, part in enumerate(splits)
-    )
+    train, val, test = splits
+    return train, _fixed_expansion(val, task, seed, 1), _fixed_expansion(test, task, seed, 2)
+
+
+def _fixed_expansion(part, task, seed, k):
+    """Split ``k`` (1 val, 2 test) as a single or sequential task scores it:
+    multi baskets expanded in the fixed order drawn at ``seed + 100 + k``."""
+    if task == "multi" or part.kind != D.MULTI:
+        return part
+    return D.multi_to_sequential(part, np.random.default_rng(seed + 100 + k))
 
 
 def _test_metric(params, config, test_ds, task, threshold):
@@ -136,7 +138,8 @@ def _test_metric(params, config, test_ds, task, threshold):
 
 def cmd_eval(args) -> int:
     params, config = M.load_checkpoint(args.checkpoint)
-    ds = _load_dataset(args)
+    # a basket file is scored as `train` scores its test split
+    ds = _fixed_expansion(_load_dataset(args), args.task, args.seed, 2)
     for k, v in _test_metric(params, config, ds, args.task, args.threshold).items():
         print(f"{k}: {v}")
     if args.task == "multi":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 
 import numpy as np
 
@@ -119,13 +119,21 @@ def _context_length(observations: list[ChoiceObservation], what: str) -> int:
     return k
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChoiceDataset:
+    """Validated observations of one kind over ``catalog``.
+
+    A dataset is immutable: its fields cannot be assigned and
+    ``observations`` is stored as a tuple. Batching pads every row once, on
+    first use, into a row index (``_rows``) that ``make_batches`` gathers
+    each batch from; immutability keeps that index current."""
+
     catalog: ItemCatalog
-    observations: list[ChoiceObservation]
+    observations: tuple[ChoiceObservation, ...]
     kind: str
 
     def __post_init__(self):
+        object.__setattr__(self, "observations", tuple(self.observations))
         if self.observations:
             _context_length(self.observations, "observation")
         for k, obs in enumerate(self.observations):
@@ -135,6 +143,18 @@ class ChoiceDataset:
                 obs.validate(self.catalog.item_count)
             except DataError as exc:
                 raise DataError(f"observation {k}: {exc}") from None
+
+    @classmethod
+    def _of_valid(cls, catalog: ItemCatalog, observations, kind: str) -> "ChoiceDataset":
+        """A dataset of observations taken from a dataset with the same
+        ``catalog`` and ``kind``, which has validated them already."""
+        ds = cls.__new__(cls)
+        ds.__dict__.update(catalog=catalog, observations=tuple(observations), kind=kind)
+        return ds
+
+    @cached_property
+    def _rows(self) -> "_Rows":
+        return _Rows.of(self.catalog, self.observations)
 
     def __len__(self) -> int:
         return len(self.observations)
@@ -304,7 +324,8 @@ def split(
     n_val = int(n * ratios[1])
     parts = (order[:n_train], order[n_train : n_train + n_val], order[n_train + n_val :])
     return tuple(
-        ChoiceDataset(ds.catalog, [ds.observations[i] for i in idx], ds.kind) for idx in parts
+        ChoiceDataset._of_valid(ds.catalog, [ds.observations[i] for i in idx], ds.kind)
+        for idx in parts
     )
 
 
@@ -517,6 +538,10 @@ class PaddedBatch:
     features and False masks. ``labels`` is each row's chosen candidate
     position and ``label_mask`` flags each candidate position in its row's
     basket; each is None when the observations carry no choices or baskets.
+    Rows with equal ``row_key`` have the same candidates and the same entry,
+    so they read the same inputs. The item lists are shared with the row
+    index the batch was gathered from (``make_batches``), so they are read,
+    never changed.
     """
 
     cand_features: np.ndarray  # B x Cmax x d
@@ -528,18 +553,22 @@ class PaddedBatch:
     cand_items: list[list[int]]  # B
     assort_items: list[list[int]]  # G
     assort_index: np.ndarray  # B int, each row's entry
+    row_key: np.ndarray  # B int, equal for rows with equal candidates and entry
 
     @property
     def size(self) -> int:
         return self.cand_features.shape[0]
 
 
-def first_appearance(keys) -> tuple[np.ndarray, list[int]]:
-    """Each key's distinct number, by hashing, in order of first appearance,
-    and the position of each number's first key."""
-    firsts: dict = {}
-    index = [firsts.setdefault(key, (len(firsts), b))[0] for b, key in enumerate(keys)]
-    return np.array(index), [b for _, b in firsts.values()]
+def renumber(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct values of the int array ``values`` in order of
+    first appearance, by sorting: each value's number, and the position of
+    each number's first value."""
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    return number[inverse], first[order]
 
 
 def effective_feature_dim(ds: ChoiceDataset) -> int:
@@ -554,16 +583,38 @@ def _contexts(observations: list[ChoiceObservation]) -> np.ndarray | None:
     return np.array([o.context for o in observations], dtype=np.float64)
 
 
-def _pad(
-    catalog: ItemCatalog, sets: list[list[int]], contexts: np.ndarray | None
+def _index_matrix(sets: list[list[int]], n: int) -> np.ndarray:
+    """``sets`` of sorted items as rows, each padded with ``n`` to the largest."""
+    pad = [n] * max(map(len, sets))
+    return np.array([s + pad[len(s):] for s in sets], dtype=np.intp)
+
+
+def _number_rows(cand_sets, observations):
+    """Each row's entry, its (assortment, context) pair, and its key, its
+    (candidates, entry) pair, each numbered in order of first appearance;
+    and the first row of each entry and of each key."""
+    entries: dict = {}
+    keys: dict = {}
+    entry, key, firsts, distinct = [], [], [], []
+    for b, (c, o) in enumerate(zip(cand_sets, observations)):
+        e = entries.setdefault((o.assortment, o.context), len(entries))
+        if e == len(firsts):
+            firsts.append(b)
+        k = keys.setdefault((frozenset(c), e), len(keys))
+        if k == len(distinct):
+            distinct.append(b)
+        entry.append(e)
+        key.append(k)
+    return entry, key, firsts, distinct
+
+
+def _features(
+    catalog: ItemCatalog, idx: np.ndarray, contexts: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Features and mask of ``sets``, each padded to the largest with the
-    index n, whose row in ``catalog._padded_features`` is zero."""
-    n, width = catalog.item_count, max(map(len, sets))
-    pad = [n] * width
-    padded = chain.from_iterable([s + pad[len(s):] for s in sets])
-    idx = np.fromiter(padded, dtype=np.intp, count=len(sets) * width).reshape(len(sets), width)
-    mask = idx != n
+    """Features and mask of the padded item rows ``idx``: the padding index
+    n selects the zero row of ``catalog._padded_features``, and each row's
+    context is laid over its unpadded positions."""
+    mask = idx != catalog.item_count
     feats = catalog._padded_features.take(idx, axis=0)
     if contexts is not None:
         ctx = np.where(mask[..., None], contexts[:, None, :], 0.0)
@@ -571,24 +622,118 @@ def _pad(
     return feats, mask
 
 
+@dataclass
+class _Rows:
+    """Rows of observations padded for batching, and their entries: the row
+    index of a dataset, or of the observations of one ``pad_batch`` call.
+
+    Each row has its sorted candidate items (``cand_items``, and as a row of
+    ``cand`` padded with the item count n), its context, its label position
+    (``labels``, -1 for a row without a choice, None when no row has one)
+    and its basket mask over ``cand`` (``baskets``, None when no row has a
+    basket; ``has_basket`` flags the rows that have one). ``entry`` numbers
+    the rows' distinct (assortment, context) pairs in order of first
+    appearance, ``firsts`` holds each entry's first row, and ``assort_items``
+    and ``assort`` each entry's sorted items. ``key`` numbers the distinct
+    (candidates, entry) pairs in the same way. ``take`` selects rows, and
+    ``batch`` pads all rows into a PaddedBatch."""
+
+    catalog: ItemCatalog
+    cand_items: list[list[int]]
+    cand: np.ndarray  # R x width int
+    contexts: np.ndarray | None  # R x k
+    labels: np.ndarray | None  # R int
+    baskets: np.ndarray | None  # R x width bool
+    has_basket: np.ndarray | None  # R bool
+    entry: np.ndarray  # R int
+    firsts: list[int] | np.ndarray  # E
+    assort_items: list[list[int]]  # E
+    assort: np.ndarray  # E x width int
+    key: np.ndarray  # R int
+
+    @classmethod
+    def of(cls, catalog: ItemCatalog, observations) -> "_Rows":
+        n = catalog.item_count
+        contexts = _contexts(observations)
+        cand_sets = [o.assortment if o.candidates is None else o.candidates for o in observations]
+        entry, key, firsts, distinct = _number_rows(cand_sets, observations)
+        # rows with one key read the same inputs: each key's candidates are
+        # sorted and padded once
+        distinct_items = [sorted(cand_sets[b]) for b in distinct]
+        cand_items = [distinct_items[k] for k in key]
+        key = np.array(key)
+        cand = _index_matrix(distinct_items, n).take(key, axis=0)
+        assort_items = [sorted(observations[b].assortment) for b in firsts]
+        labels = baskets = has_basket = None
+        if any(o.choice is not None for o in observations):
+            labels = np.array([
+                -1 if o.choice is None else c.index(o.choice)
+                for c, o in zip(cand_items, observations)
+            ])
+        if any(o.basket is not None for o in observations):
+            has_basket = np.array([o.basket is not None for o in observations])
+            baskets = np.zeros(cand.shape, dtype=bool)
+            baskets[cand != n] = [
+                o.basket is not None and i in o.basket
+                for c, o in zip(cand_items, observations)
+                for i in c
+            ]
+        return cls(
+            catalog, cand_items, cand, contexts, labels, baskets, has_basket,
+            np.array(entry), firsts, assort_items, _index_matrix(assort_items, n), key,
+        )
+
+    @cached_property
+    def _cand_len(self) -> np.ndarray:
+        return np.fromiter(map(len, self.cand_items), dtype=np.intp, count=len(self.cand_items))
+
+    @cached_property
+    def _assort_len(self) -> np.ndarray:
+        return np.fromiter(map(len, self.assort_items), dtype=np.intp, count=len(self.assort_items))
+
+    def take(self, rows: np.ndarray) -> "_Rows":
+        """The rows at positions ``rows``, in that order: each side cut to its
+        widest row, the entries renumbered in order of first appearance."""
+        width = self._cand_len[rows].max()
+        entry, firsts = renumber(self.entry[rows])
+        entries = self.entry[rows[firsts]]
+        return _Rows(
+            self.catalog,
+            [self.cand_items[r] for r in rows],
+            self.cand[rows, :width],
+            None if self.contexts is None else self.contexts[rows],
+            None if self.labels is None else self.labels[rows],
+            None if self.baskets is None else self.baskets[rows, :width],
+            None if self.has_basket is None else self.has_basket[rows],
+            entry,
+            firsts,
+            [self.assort_items[e] for e in entries],
+            self.assort[entries, : self._assort_len[entries].max()],
+            self.key[rows],
+        )
+
+    def batch(self) -> PaddedBatch:
+        """Every row, in order, as one PaddedBatch."""
+        fc, mc = _features(self.catalog, self.cand, self.contexts)
+        entry_contexts = None if self.contexts is None else self.contexts[self.firsts]
+        fs, ms = _features(self.catalog, self.assort, entry_contexts)
+        labels = self.labels
+        if labels is not None and (labels < 0).any():
+            labels = None
+        baskets = self.baskets
+        if baskets is not None and not self.has_basket.all():
+            baskets = None
+        return PaddedBatch(
+            fc, fs, mc, ms, labels, baskets, self.cand_items, self.assort_items, self.entry,
+            self.key,
+        )
+
+
 def pad_batch(catalog: ItemCatalog, observations: list[ChoiceObservation]) -> PaddedBatch:
     """The batch of ``observations``; an observation without candidates (a
-    multi basket) offers its whole assortment as candidates."""
-    cand_sets = [
-        sorted(o.assortment if o.candidates is None else o.candidates) for o in observations
-    ]
-    contexts = _contexts(observations)
-    fc, mc = _pad(catalog, cand_sets, contexts)
-    index, firsts = first_appearance((o.assortment, o.context) for o in observations)
-    assort_sets = [sorted(observations[b].assortment) for b in firsts]
-    fs, ms = _pad(catalog, assort_sets, None if contexts is None else contexts[firsts])
-    labels = label_mask = None
-    if all(o.choice is not None for o in observations):
-        labels = np.array([c.index(o.choice) for c, o in zip(cand_sets, observations)])
-    if all(o.basket is not None for o in observations):
-        label_mask = np.zeros(mc.shape, dtype=bool)
-        label_mask[mc] = [i in o.basket for c, o in zip(cand_sets, observations) for i in c]
-    return PaddedBatch(fc, fs, mc, ms, labels, label_mask, cand_sets, assort_sets, index)
+    multi basket) offers its whole assortment as candidates. The rows are
+    padded as the rows of a dataset are (``make_batches``), all at once."""
+    return _Rows.of(catalog, observations).batch()
 
 
 def make_batches(
@@ -597,7 +742,10 @@ def make_batches(
     rng: np.random.Generator | None = None,
     shuffle: bool = True,
 ):
-    """Yield PaddedBatches; observations are shuffled when ``shuffle``."""
+    """Yield the PaddedBatches of ``ds``, ``batch_size`` rows each, shuffled
+    when ``shuffle``. Every row of ``ds`` is padded once, on the first
+    batching of ``ds``; each batch gathers its rows from those, and equals
+    ``pad_batch`` of its observations."""
     if not ds.observations:
         raise DataError("cannot batch an empty dataset")
     order = np.arange(len(ds.observations))
@@ -606,5 +754,4 @@ def make_batches(
             raise DataError("shuffling requires an rng")
         order = rng.permutation(order)
     for start in range(0, len(order), batch_size):
-        chunk = [ds.observations[i] for i in order[start : start + batch_size]]
-        yield pad_batch(ds.catalog, chunk)
+        yield ds._rows.take(order[start : start + batch_size]).batch()

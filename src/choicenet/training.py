@@ -212,14 +212,13 @@ def batch_utilities(ds: D.ChoiceDataset, params, utilities, batch_size: int = 25
     """Yield ``(batch, utilities)`` over the unshuffled batches of ``ds``,
     computed without recording a graph.
 
-    Each distinct row of a batch is scored once: rows with the same sorted
-    candidates and the same (assortment, context) entry read the same inputs,
-    so the first of them is forwarded and its utilities are copied to the
-    others. Each row keeps its own labels in ``batch``."""
+    Each distinct row of a batch is scored once: rows with the same
+    ``row_key`` (the same sorted candidates and the same (assortment,
+    context) entry) read the same inputs, so the first of them is forwarded
+    and its utilities are copied to the others. Each row keeps its own
+    labels in ``batch``."""
     for batch in D.make_batches(ds, batch_size, shuffle=False):
-        index, firsts = D.first_appearance(
-            zip(map(tuple, batch.cand_items), batch.assort_index.tolist())
-        )
+        index, firsts = D.renumber(batch.row_key)
         # the first rows on the candidate side; the entries stay as they are
         scored = replace(
             batch,
@@ -229,6 +228,7 @@ def batch_utilities(ds: D.ChoiceDataset, params, utilities, batch_size: int = 25
             label_mask=None,
             cand_items=[batch.cand_items[b] for b in firsts],
             assort_index=batch.assort_index[firsts],
+            row_key=batch.row_key[firsts],
         )
         with no_grad():
             u = Tensor(utilities(scored, params, False, None).data[index])

@@ -176,6 +176,35 @@ class TestEndToEnd:
         assert capsys.readouterr().out.splitlines() == [f"f1_loss: {f1}", "threshold: 0.3"]
 
 
+    @pytest.mark.parametrize("task", ["sequential", "single"])
+    def test_eval_basket_file_for_sequential_tasks(self, tmp_path, capsys, task):
+        # eval expands the baskets as train expands its test split
+        data = tmp_path / "baskets.txt"
+        rng = np.random.default_rng(0)
+        data.write_text("".join(
+            " ".join(map(str, rng.choice(6, rng.integers(1, 4), replace=False) + 1)) + "\n"
+            for _ in range(60)
+        ))
+        out = tmp_path / "runs"
+        rc = run(
+            [
+                "train", "--task", "sequential", "--format", "transactions", "--data", data,
+                "--out", out, "--run-id", "b", "--epochs", 1, "--batch-size", 32,
+                "--hidden-dim", 8, "--heads", 2,
+            ]
+        )
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        rc = run(
+            ["eval", "--task", task, "--format", "transactions", "--data", data,
+             "--checkpoint", out / "b" / "best.ckpt.npz"]
+        )
+        assert rc == EXIT_OK
+        (line,) = capsys.readouterr().out.splitlines()
+        key, value = line.split(": ")
+        assert key == "ce" and np.isfinite(float(value))
+
+
 class TestTheoryCheck:
     def test_random_models_pass(self, capsys):
         rc = run(["theory-check", "--n", 3, "--models", 2])

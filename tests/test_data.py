@@ -1,3 +1,5 @@
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
@@ -87,6 +89,22 @@ class TestSplit:
         ds = D.generate_boosted_synthetic(40, seed=2)
         tr, va, te = D.split(ds, seed=3)
         assert len(tr) + len(va) + len(te) == 40
+
+    def test_parts_are_not_validated_again(self, monkeypatch):
+        ds = D.generate_boosted_synthetic(40, seed=2)
+        calls = []
+        validate = D.ChoiceObservation.validate
+        monkeypatch.setattr(
+            D.ChoiceObservation, "validate", lambda o, n: calls.append(o) or validate(o, n)
+        )
+        parts = D.split(ds, seed=3)
+        assert calls == []
+        for part in parts:
+            assert part.catalog is ds.catalog and part.kind == ds.kind
+            assert isinstance(part.observations, tuple)
+        assert sorted(map(id, sum((p.observations for p in parts), ()))) == sorted(
+            map(id, ds.observations)
+        )
 
 
 class TestSingleToSequential:
@@ -214,6 +232,35 @@ class TestBoostedSynthetic:
         ds = D.generate_boosted_multi(200, seed=0)
         assert all(o.basket for o in ds.observations)
         assert ds.kind == D.MULTI
+
+
+class TestImmutableDataset:
+    def test_fields_and_observations_cannot_be_assigned(self):
+        ds = D.generate_boosted_synthetic(5, seed=1)
+        assert isinstance(ds.observations, tuple)
+        for field, value in (("kind", D.MULTI), ("observations", ()), ("catalog", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ds, field, value)
+        with pytest.raises(TypeError):
+            ds.observations[0] = ds.observations[1]
+        with pytest.raises(AttributeError):
+            ds.observations.append(ds.observations[0])
+
+    def test_row_index_is_built_once_per_dataset_on_first_batching(self, monkeypatch):
+        built = []
+        of = D._Rows.of
+        monkeypatch.setattr(
+            D._Rows, "of", classmethod(lambda cls, cat, obs: built.append(len(obs)) or of(cat, obs))
+        )
+        ds = D.generate_boosted_synthetic(30, seed=1)
+        train, val, _ = D.split(ds, seed=2)
+        assert built == []  # loading and splitting never batch
+        for shuffle in (True, False, True):
+            list(D.make_batches(train, 7, np.random.default_rng(0), shuffle))
+        assert built == [len(train)]
+        list(D.make_batches(val, 256, shuffle=False))
+        list(D.make_batches(train, 256, shuffle=False))
+        assert built == [len(train), len(val)]
 
 
 class TestBatching:
@@ -391,8 +438,11 @@ def _reference_pad_batch(catalog, observations):
         label_mask = np.zeros(mc.shape, dtype=bool)
         for b, (items, obs) in enumerate(zip(cand_sets, observations)):
             label_mask[b, : len(items)] = [i in obs.basket for i in items]
+    keys: dict = {}
+    row_key = [keys.setdefault((tuple(c), g), len(keys)) for c, g in zip(cand_sets, index)]
     return D.PaddedBatch(
-        fc, fs, mc, ms, labels, label_mask, cand_sets, assort_sets, np.array(index)
+        fc, fs, mc, ms, labels, label_mask, cand_sets, assort_sets, np.array(index),
+        np.array(row_key),
     )
 
 
@@ -433,12 +483,9 @@ def _catalog_and_batch(draw):
     return catalog, observations
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_catalog_and_batch())
-def test_pad_batch_matches_per_row_padding(case):
-    catalog, observations = case
-    batch = D.pad_batch(catalog, observations)
-    want = _reference_pad_batch(catalog, observations)
+def _assert_same_batch(batch, want):
+    """``batch`` equals ``want`` field for field; its row keys number the
+    same rows alike, whatever the numbers."""
     for field in ("cand_features", "assort_features", "cand_mask", "assort_mask",
                   "labels", "label_mask", "assort_index"):
         got, ref = getattr(batch, field), getattr(want, field)
@@ -452,3 +499,27 @@ def test_pad_batch_matches_per_row_padding(case):
         assert np.array_equal(np.signbit(getattr(batch, field)), np.signbit(getattr(want, field)))
     assert batch.cand_items == want.cand_items
     assert batch.assort_items == want.assort_items
+    np.testing.assert_array_equal(D.renumber(batch.row_key)[0], want.row_key)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_catalog_and_batch())
+def test_pad_batch_matches_per_row_padding(case):
+    catalog, observations = case
+    want = _reference_pad_batch(catalog, observations)
+    _assert_same_batch(D.pad_batch(catalog, observations), want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_catalog_and_batch(), st.integers(1, 9), st.integers(0, 2**16))
+def test_gathered_batches_match_per_row_padding(case, batch_size, seed):
+    # the rows of one kind make a dataset; make_batches gathers every batch,
+    # a random subset of its rows in random order, from the dataset's index
+    catalog, observations = case
+    kind = observations[0].kind
+    ds = D.ChoiceDataset(catalog, [o for o in observations if o.kind == kind], kind)
+    order = np.random.default_rng(seed).permutation(len(ds))
+    batches = D.make_batches(ds, batch_size, np.random.default_rng(seed), shuffle=True)
+    for start, batch in zip(range(0, len(ds), batch_size), batches, strict=True):
+        rows = [ds.observations[i] for i in order[start : start + batch_size]]
+        _assert_same_batch(batch, _reference_pad_batch(catalog, rows))

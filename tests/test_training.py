@@ -477,6 +477,32 @@ def test_batched_evaluator_matches_forwarding_every_row(case):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_evaluation_case())
+def test_batch_utilities_scores_first_appearances_of_candidates_and_entry(case):
+    # each batch's sub-batch holds the first row of each distinct (sorted
+    # candidates, entry) pair, in order of first appearance, and every row
+    # gets the utilities of its pair's first row
+    ds, _, _, batch_size = case
+    scored = []
+
+    def row_numbers(batch, params, training=False, rng=None):
+        scored.append(batch)
+        return Tensor(np.arange(batch.size, dtype=float)[:, None] + np.zeros(batch.cand_mask.shape))
+
+    for batch, u in T.batch_utilities(ds, None, row_numbers, batch_size):
+        numbers: dict = {}
+        for b, items in enumerate(batch.cand_items):
+            numbers.setdefault((tuple(items), int(batch.assort_index[b])), (len(numbers), b))
+        index = [numbers[(tuple(c), int(g))][0] for c, g in zip(batch.cand_items, batch.assort_index)]
+        firsts = [b for _, b in numbers.values()]
+        sub = scored.pop()
+        assert sub.cand_items == [batch.cand_items[b] for b in firsts]
+        np.testing.assert_array_equal(sub.assort_index, batch.assort_index[firsts])
+        np.testing.assert_array_equal(sub.cand_features, batch.cand_features[firsts])
+        np.testing.assert_array_equal(u.data[:, 0], index)
+
+
 class TestDistinctRows:
     S = frozenset(range(4))
     C = frozenset({0, 1, 2})
