@@ -146,14 +146,19 @@ class ChoiceDataset:
 
     @classmethod
     def _of_valid(cls, catalog: ItemCatalog, observations, kind: str) -> "ChoiceDataset":
-        """A dataset of observations taken from a dataset with the same
-        ``catalog`` and ``kind``, which has validated them already."""
+        """A dataset of observations that are valid over ``catalog`` by
+        construction, without validating them again: observations taken from
+        a validated dataset, or built from one by a reduction, or validated
+        one by one as they were read. They must be of ``kind`` and share one
+        context length."""
         ds = cls.__new__(cls)
         ds.__dict__.update(catalog=catalog, observations=tuple(observations), kind=kind)
         return ds
 
     @cached_property
     def _rows(self) -> "_Rows":
+        if not self.observations:
+            raise DataError("cannot batch an empty dataset")
         return _Rows.of(self.catalog, self.observations)
 
     def __len__(self) -> int:
@@ -226,10 +231,13 @@ def load_csv(path, item_features_path=None) -> ChoiceDataset:
                 context=context,
             )
             obs.validate(catalog.item_count)
+            if obs.kind != kind:
+                raise DataError(f"kind {obs.kind}, the first row's is {kind}")
         except (DataError, KeyError, ValueError) as exc:
             raise DataError(f"{path}, line {lineno}: {exc}") from None
         observations.append(obs)
-    return ChoiceDataset(catalog, observations, kind)
+    # every row is validated above, every context has len(feat_cols) values
+    return ChoiceDataset._of_valid(catalog, observations, kind)
 
 
 def _load_item_features(path, names: list[str]) -> ItemCatalog:
@@ -343,7 +351,7 @@ def single_to_sequential(ds: ChoiceDataset) -> ChoiceDataset:
         )
         for obs in ds.observations
     ]
-    return ChoiceDataset(ds.catalog, observations, SEQUENTIAL)
+    return ChoiceDataset._of_valid(ds.catalog, observations, SEQUENTIAL)
 
 
 def multi_to_sequential(
@@ -391,7 +399,7 @@ def multi_to_sequential(
                     context=obs.context,
                 )
             )
-    return ChoiceDataset(ds.catalog, observations, SEQUENTIAL)
+    return ChoiceDataset._of_valid(ds.catalog, observations, SEQUENTIAL)
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +546,8 @@ class PaddedBatch:
     features and False masks. ``labels`` is each row's chosen candidate
     position and ``label_mask`` flags each candidate position in its row's
     basket; each is None when the observations carry no choices or baskets.
-    Rows with equal ``row_key`` have the same candidates and the same entry,
-    so they read the same inputs. The item lists are shared with the row
-    index the batch was gathered from (``make_batches``), so they are read,
-    never changed.
+    The item lists are shared with the row index the batch was gathered from
+    (``make_batches``), so they are read, never changed.
     """
 
     cand_features: np.ndarray  # B x Cmax x d
@@ -553,7 +559,6 @@ class PaddedBatch:
     cand_items: list[list[int]]  # B
     assort_items: list[list[int]]  # G
     assort_index: np.ndarray  # B int, each row's entry
-    row_key: np.ndarray  # B int, equal for rows with equal candidates and entry
 
     @property
     def size(self) -> int:
@@ -635,7 +640,8 @@ class _Rows:
     the rows' distinct (assortment, context) pairs in order of first
     appearance, ``firsts`` holds each entry's first row, and ``assort_items``
     and ``assort`` each entry's sorted items. ``key`` numbers the distinct
-    (candidates, entry) pairs in the same way. ``take`` selects rows, and
+    (candidates, entry) pairs in the same way; ``distinct`` renumbers the
+    keys once and finds each one's first row. ``take`` selects rows, and
     ``batch`` pads all rows into a PaddedBatch."""
 
     catalog: ItemCatalog
@@ -691,6 +697,12 @@ class _Rows:
     def _assort_len(self) -> np.ndarray:
         return np.fromiter(map(len, self.assort_items), dtype=np.intp, count=len(self.assort_items))
 
+    @cached_property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """``renumber(key)``: each row's distinct row, numbered in order of
+        first appearance, and each distinct row's first row."""
+        return renumber(self.key)
+
     def take(self, rows: np.ndarray) -> "_Rows":
         """The rows at positions ``rows``, in that order: each side cut to its
         widest row, the entries renumbered in order of first appearance."""
@@ -724,8 +736,7 @@ class _Rows:
         if baskets is not None and not self.has_basket.all():
             baskets = None
         return PaddedBatch(
-            fc, fs, mc, ms, labels, baskets, self.cand_items, self.assort_items, self.entry,
-            self.key,
+            fc, fs, mc, ms, labels, baskets, self.cand_items, self.assort_items, self.entry
         )
 
 
@@ -746,12 +757,11 @@ def make_batches(
     when ``shuffle``. Every row of ``ds`` is padded once, on the first
     batching of ``ds``; each batch gathers its rows from those, and equals
     ``pad_batch`` of its observations."""
-    if not ds.observations:
-        raise DataError("cannot batch an empty dataset")
+    rows = ds._rows
     order = np.arange(len(ds.observations))
     if shuffle:
         if rng is None:
             raise DataError("shuffling requires an rng")
         order = rng.permutation(order)
     for start in range(0, len(order), batch_size):
-        yield ds._rows.take(order[start : start + batch_size]).batch()
+        yield rows.take(order[start : start + batch_size]).batch()

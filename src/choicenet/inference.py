@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -191,55 +192,51 @@ def f1_loss(predicted: list[frozenset], actual: list[frozenset]) -> float:
 
 
 def _membership_probs(params, config, ds: ChoiceDataset):
-    """Per basket of ``ds``, its sorted assortment items and their sigmoid
-    utilities, from batched forward passes that score each distinct
-    (assortment, context) of a batch once."""
+    """Each basket's distinct row and the distinct rows' sigmoid utilities
+    over their sorted assortment items (``training.dataset_utilities``): each
+    distinct (assortment, context) of ``ds`` is scored once."""
     if ds.kind != MULTI:
         raise ValueError(f"task multi but dataset kind {ds.kind}")
-    rows = []
-    for batch, u in T.batch_utilities(ds, params, T.network_utilities(config)):
-        sig = 1.0 / (1.0 + np.exp(-u.data))
-        rows += [(items, sig[b, : len(items)]) for b, items in enumerate(batch.cand_items)]
-    return rows
+    return T.dataset_utilities(ds, params, T.network_utilities(config), 256, T.basket_probs)
 
 
-def _threshold_f1(rows, ds: ChoiceDataset, mu: float) -> float:
-    """F1 loss of ``predict_threshold``'s baskets (items with sigmoid > mu)."""
+def _threshold_f1(membership, ds: ChoiceDataset, mu: float) -> float:
+    """F1 loss of ``predict_threshold``'s baskets (items with sigmoid > mu),
+    from ``_membership_probs``: each basket predicts its distinct row's
+    items above ``mu``."""
     if not 0.0 < mu < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
-    preds = [frozenset(i for i, s in zip(items, sig) if s > mu) for items, sig in rows]
+    index, probs = membership
+    above = probs > mu
+    preds = [frozenset(compress(items, above[k])) for items, k in zip(ds._rows.cand_items, index)]
     return f1_loss(preds, [obs.basket for obs in ds.observations])
 
 
 def evaluate(params, config, ds: ChoiceDataset, task: str, mu: float = 0.5) -> dict:
-    """CE for single/sequential tasks, F1 loss (thresholded) for multi, from
-    batched forward passes that score each distinct row of a batch once; each
-    row keeps its own choice or basket."""
+    """CE for single/sequential tasks, F1 loss (thresholded) for multi. Each
+    distinct row of ``ds`` is forwarded once, in batches of 256 distinct
+    rows (``training.dataset_utilities``); each row keeps its own choice or
+    basket."""
     if task in (SINGLE, SEQUENTIAL):
         if ds.kind != task:
             raise ValueError(f"task {task} but dataset kind {ds.kind}")
         seq = single_to_sequential(ds) if ds.kind == SINGLE else ds
-        utilities = T.network_utilities(config)
-        per_sample = [
-            float(nll)
-            for batch, u in T.batch_utilities(seq, params, utilities)
-            for nll in T.choice_nll(batch, u)
-        ]
-        return {"ce": float(np.mean(per_sample)), "per_sample": per_sample}
+        nll = T.choice_nll(seq, params, T.network_utilities(config))
+        return {"ce": float(np.mean(nll)), "per_sample": nll.tolist()}
     if task == MULTI:
-        rows = _membership_probs(params, config, ds)
-        return {"f1_loss": _threshold_f1(rows, ds, mu), "threshold": mu}
+        membership = _membership_probs(params, config, ds)
+        return {"f1_loss": _threshold_f1(membership, ds, mu), "threshold": mu}
     raise ValueError(f"unknown task {task!r}")
 
 
 def tune_threshold(params, config, val_ds: ChoiceDataset, grid=(0.1, 0.3, 0.5, 0.7, 0.9)):
     """Pick the threshold minimizing validation F1 loss; the utilities are
     computed once for the whole grid, each distinct (assortment, context) of
-    a batch scored once."""
-    rows = _membership_probs(params, config, val_ds)
+    ``val_ds`` scored once."""
+    membership = _membership_probs(params, config, val_ds)
     best_mu, best_loss = None, np.inf
     for mu in grid:
-        loss = _threshold_f1(rows, val_ds, mu)
+        loss = _threshold_f1(membership, val_ds, mu)
         if loss < best_loss:
             best_mu, best_loss = mu, loss
     return best_mu, best_loss

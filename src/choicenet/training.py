@@ -4,7 +4,7 @@ the one batched evaluator."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -208,57 +208,76 @@ def network_utilities(config: M.TCNetConfig):
     return utilities
 
 
-def batch_utilities(ds: D.ChoiceDataset, params, utilities, batch_size: int = 256):
-    """Yield ``(batch, utilities)`` over the unshuffled batches of ``ds``,
-    computed without recording a graph.
+def dataset_utilities(ds: D.ChoiceDataset, params, utilities, batch_size: int, score):
+    """Score each distinct row of ``ds`` once, without recording a graph.
 
-    Each distinct row of a batch is scored once: rows with the same
-    ``row_key`` (the same sorted candidates and the same (assortment,
-    context) entry) read the same inputs, so the first of them is forwarded
-    and its utilities are copied to the others. Each row keeps its own
-    labels in ``batch``."""
-    for batch in D.make_batches(ds, batch_size, shuffle=False):
-        index, firsts = D.renumber(batch.row_key)
-        # the first rows on the candidate side; the entries stay as they are
-        scored = replace(
-            batch,
-            cand_features=batch.cand_features[firsts],
-            cand_mask=batch.cand_mask[firsts],
-            labels=None,
-            label_mask=None,
-            cand_items=[batch.cand_items[b] for b in firsts],
-            assort_index=batch.assort_index[firsts],
-            row_key=batch.row_key[firsts],
-        )
+    Rows with the same ``key`` in the dataset's row index (the same sorted
+    candidates and the same (assortment, context) entry) read the same
+    inputs. The first row of each key, in order of first appearance, is
+    forwarded, ``batch_size`` of them per forward, and ``score(batch, u)``
+    turns each forward's B x Cmax utilities into per-position scores, such
+    as the softmax over the batch's candidates. A dataset without repeated
+    rows is forwarded in the batches of ``make_batches(ds, batch_size,
+    shuffle=False)``.
+
+    Returns ``(index, scores)``: each row's distinct row, and the distinct
+    rows' scores, one row each over the dataset's widest candidate set, 0 at
+    every padded position."""
+    rows = ds._rows
+    index, firsts = rows.distinct
+    scores = np.zeros((len(firsts), rows.cand.shape[1]))
+    for start in range(0, len(firsts), batch_size):
+        batch = rows.take(firsts[start : start + batch_size]).batch()
         with no_grad():
-            u = Tensor(utilities(scored, params, False, None).data[index])
-        yield batch, u  # outside no_grad(): the consumer keeps its own grad mode
+            s = score(batch, utilities(batch, params, False, None))
+        scores[start : start + batch.size, : s.shape[1]] = np.where(batch.cand_mask, s, 0.0)
+    return index, scores
 
 
-def choice_nll(batch: D.PaddedBatch, utilities: Tensor) -> np.ndarray:
-    """-log P(choice | C, S) per row, from the softmax of ``utilities`` over
-    the candidates with probabilities floored at ``LOG_FLOOR``."""
-    with no_grad():
-        probs = utilities.masked_softmax(batch.cand_mask).data
-    picked = probs[np.arange(batch.size), batch.labels]
-    return -np.log(np.maximum(picked, LOG_FLOOR))
+def choice_probs(batch: D.PaddedBatch, utilities: Tensor) -> np.ndarray:
+    """P(i | C, S) per row: the softmax of ``utilities`` over the candidates."""
+    return utilities.masked_softmax(batch.cand_mask).data
+
+
+def basket_probs(batch: D.PaddedBatch, utilities: Tensor) -> np.ndarray:
+    """The sigmoid of each utility: P(i in basket | S) for the threshold head."""
+    return 1.0 / (1.0 + np.exp(-utilities.data))
+
+
+def choice_nll(ds: D.ChoiceDataset, params, utilities, batch_size: int = 256) -> np.ndarray:
+    """-log P(choice | C, S) per row of ``ds``, its distinct row's
+    ``choice_probs`` at its choice, floored at ``LOG_FLOOR``."""
+    labels = ds._rows.labels
+    if labels is None or (labels < 0).any():
+        raise D.DataError(f"ce needs a choice in every row; the dataset is {ds.kind}")
+    index, probs = dataset_utilities(ds, params, utilities, batch_size, choice_probs)
+    return -np.log(np.maximum(probs[index, labels], LOG_FLOOR))
 
 
 def dataset_loss(
     ds: D.ChoiceDataset, params, utilities, objective: str = "ce", batch_size: int = 256
 ) -> float:
     """Mean loss of a model over ``ds``: per observation for "ce", per valid
-    assortment position for "binary_ce". Each distinct row of a batch is
-    scored once (``batch_utilities``); every row adds its own loss."""
+    assortment position for "binary_ce". Each distinct row of ``ds`` is
+    scored once (``dataset_utilities``); every row adds its own loss. The
+    losses are summed ``batch_size`` rows at a time and the sums added in
+    row order."""
+    if objective == "ce":
+        nll = choice_nll(ds, params, utilities, batch_size)
+        total = 0.0
+        for start in range(0, len(nll), batch_size):
+            total += nll[start : start + batch_size].sum()
+        return total / len(nll)
+    rows = ds._rows
+    if rows.baskets is None or not rows.has_basket.all():
+        raise D.DataError(f"binary_ce needs a basket in every row; the dataset is {ds.kind}")
+    index, probs = dataset_utilities(ds, params, utilities, batch_size, basket_probs)
     total, count = 0.0, 0
-    for batch, u in batch_utilities(ds, params, utilities, batch_size):
-        if objective == "ce":
-            total += choice_nll(batch, u).sum()
-            count += batch.size
-            continue
-        s = 1.0 / (1.0 + np.exp(-u.data))
-        y = batch.label_mask.astype(float)
-        v = batch.cand_mask
+    for start in range(0, len(index), batch_size):
+        sl = slice(start, start + batch_size)
+        s = probs[index[sl]]
+        y = rows.baskets[sl].astype(float)
+        v = rows.cand[sl] != ds.catalog.item_count
         bce = -(y * np.log(np.maximum(s, LOG_FLOOR)) + (1 - y) * np.log(np.maximum(1 - s, LOG_FLOOR)))
         total += bce[v].sum()
         count += int(v.sum())

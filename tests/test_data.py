@@ -41,6 +41,12 @@ class TestLoadCsv:
         with pytest.raises(D.DataError, match="line 3"):
             D.load_csv(p)
 
+    def test_mixed_kinds_name_row(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_single_csv(p, ["0,single,A;B,,A,", "1,single,A;B,,B,", "2,multi,A;B,,,A"])
+        with pytest.raises(D.DataError, match="line 4: kind multi, the first row's is single"):
+            D.load_csv(p)
+
     def test_sequential_roundtrip(self, tmp_path):
         ds = D.generate_boosted_synthetic(25, seed=3)
         p = tmp_path / "seq.csv"
@@ -191,6 +197,43 @@ class TestMultiToSequential:
         ds = D.generate_boosted_synthetic(3, seed=0)
         with pytest.raises(D.DataError):
             D.multi_to_sequential(ds, np.random.default_rng(0))
+
+
+@st.composite
+def _reducible(draw):
+    """A single or multi dataset over a catalog that carries the stop item,
+    with contexts of one drawn length, and whether to append stops."""
+    n = draw(st.integers(1, 5))
+    catalog = D.ItemCatalog.one_hot([f"i{j}" for j in range(n)]).with_stop_item()
+    kind = draw(st.sampled_from([D.SINGLE, D.MULTI]))
+    k = draw(st.integers(0, 2))
+    value = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    observations = []
+    for _ in range(draw(st.integers(1, 6))):
+        S = draw(st.sets(st.integers(0, n - 1), min_size=1).map(frozenset))
+        context = tuple(draw(value) for _ in range(k)) or None
+        if kind == D.SINGLE:
+            observations.append(D.ChoiceObservation(
+                kind, S, choice=draw(st.sampled_from(sorted(S))), context=context
+            ))
+        else:
+            basket = draw(st.sets(st.sampled_from(sorted(S)), min_size=1).map(frozenset))
+            observations.append(D.ChoiceObservation(kind, S, basket=basket, context=context))
+    return D.ChoiceDataset(catalog, observations, kind), draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_reducible(), st.integers(0, 2**16))
+def test_reductions_build_valid_datasets(case, seed):
+    # the reductions skip validation; what they build must pass it
+    ds, append_stop = case
+    if ds.kind == D.SINGLE:
+        seq = D.single_to_sequential(ds)
+    else:
+        seq = D.multi_to_sequential(ds, np.random.default_rng(seed), append_stop)
+    assert seq.kind == D.SEQUENTIAL and seq.catalog is ds.catalog
+    validated = D.ChoiceDataset(seq.catalog, seq.observations, seq.kind)
+    assert validated.observations == seq.observations
 
 
 class TestBoostedSynthetic:
@@ -438,12 +481,23 @@ def _reference_pad_batch(catalog, observations):
         label_mask = np.zeros(mc.shape, dtype=bool)
         for b, (items, obs) in enumerate(zip(cand_sets, observations)):
             label_mask[b, : len(items)] = [i in obs.basket for i in items]
-    keys: dict = {}
-    row_key = [keys.setdefault((tuple(c), g), len(keys)) for c, g in zip(cand_sets, index)]
     return D.PaddedBatch(
-        fc, fs, mc, ms, labels, label_mask, cand_sets, assort_sets, np.array(index),
-        np.array(row_key),
+        fc, fs, mc, ms, labels, label_mask, cand_sets, assort_sets, np.array(index)
     )
+
+
+def _reference_keys(observations):
+    """Each row's distinct (sorted candidates, (assortment, context)) pair,
+    numbered in order of first appearance."""
+    keys: dict = {}
+    return [
+        keys.setdefault(
+            (tuple(sorted(o.assortment if o.candidates is None else o.candidates)),
+             o.assortment, o.context),
+            len(keys),
+        )
+        for o in observations
+    ]
 
 
 _values = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
@@ -484,8 +538,7 @@ def _catalog_and_batch(draw):
 
 
 def _assert_same_batch(batch, want):
-    """``batch`` equals ``want`` field for field; its row keys number the
-    same rows alike, whatever the numbers."""
+    """``batch`` equals ``want`` field for field."""
     for field in ("cand_features", "assort_features", "cand_mask", "assort_mask",
                   "labels", "label_mask", "assort_index"):
         got, ref = getattr(batch, field), getattr(want, field)
@@ -499,7 +552,6 @@ def _assert_same_batch(batch, want):
         assert np.array_equal(np.signbit(getattr(batch, field)), np.signbit(getattr(want, field)))
     assert batch.cand_items == want.cand_items
     assert batch.assort_items == want.assort_items
-    np.testing.assert_array_equal(D.renumber(batch.row_key)[0], want.row_key)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -508,18 +560,24 @@ def test_pad_batch_matches_per_row_padding(case):
     catalog, observations = case
     want = _reference_pad_batch(catalog, observations)
     _assert_same_batch(D.pad_batch(catalog, observations), want)
+    keys = D._Rows.of(catalog, observations).key
+    np.testing.assert_array_equal(keys, _reference_keys(observations))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_catalog_and_batch(), st.integers(1, 9), st.integers(0, 2**16))
 def test_gathered_batches_match_per_row_padding(case, batch_size, seed):
     # the rows of one kind make a dataset; make_batches gathers every batch,
-    # a random subset of its rows in random order, from the dataset's index
+    # a random subset of its rows in random order, from the dataset's index,
+    # whose keys number the distinct rows of the dataset and of every batch
     catalog, observations = case
     kind = observations[0].kind
     ds = D.ChoiceDataset(catalog, [o for o in observations if o.kind == kind], kind)
+    np.testing.assert_array_equal(ds._rows.key, _reference_keys(ds.observations))
     order = np.random.default_rng(seed).permutation(len(ds))
     batches = D.make_batches(ds, batch_size, np.random.default_rng(seed), shuffle=True)
     for start, batch in zip(range(0, len(ds), batch_size), batches, strict=True):
-        rows = [ds.observations[i] for i in order[start : start + batch_size]]
+        taken = order[start : start + batch_size]
+        rows = [ds.observations[i] for i in taken]
         _assert_same_batch(batch, _reference_pad_batch(catalog, rows))
+        np.testing.assert_array_equal(D.renumber(ds._rows.key[taken])[0], _reference_keys(rows))

@@ -240,8 +240,7 @@ class TestForwardBasics:
         batch = D.PaddedBatch(
             np.zeros((1, 2, 5)), np.zeros((1, 2, 5)),
             np.zeros((1, 2), bool), np.ones((1, 2), bool),
-            np.zeros(1, dtype=np.int64), None, [[0, 1]], [[0, 1]],
-            np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
+            np.zeros(1, dtype=np.int64), None, [[0, 1]], [[0, 1]], np.zeros(1, dtype=np.int64),
         )
         with pytest.raises(ValueError):
             M.forward(batch, params, cfg)

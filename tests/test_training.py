@@ -373,15 +373,28 @@ def test_report_text_contains_losses():
     assert "1.000000" in text
 
 
-# -- the batched evaluator scores each distinct row once ----------------------
+# -- the evaluator scores each distinct row of a dataset once -----------------
 
 
-def _reference_batch_utilities(ds, params, utilities, batch_size=256):
-    """The evaluator's loop that forwards every row of every batch."""
+def _reference_dataset_utilities(ds, params, utilities, batch_size, score):
+    """The evaluator that forwards every row of every ``make_batches`` batch:
+    each row is its own distinct row."""
+    parts = []
     for batch in D.make_batches(ds, batch_size, shuffle=False):
         with no_grad():
-            u = utilities(batch, params, False, None)
-        yield batch, u
+            s = score(batch, utilities(batch, params, False, None))
+        parts.append(np.where(batch.cand_mask, s, 0.0))
+    scores = np.zeros((len(ds), max(p.shape[1] for p in parts)))
+    start = 0
+    for p in parts:
+        scores[start : start + len(p), : p.shape[1]] = p
+        start += len(p)
+    return np.arange(len(ds)), scores
+
+
+def _raw(batch, u):
+    """The utilities themselves, as ``dataset_utilities`` scores."""
+    return u.data
 
 
 def _row_counter(utilities):
@@ -399,13 +412,14 @@ def _row_counter(utilities):
 
 @st.composite
 def _evaluation_case(draw):
-    """A small dataset whose rows repeat, a network for it and a batch size.
+    """A small dataset whose rows repeat, a network for it and a batch size,
+    often smaller than the dataset's count of distinct rows.
 
     Rows are drawn from two (S, C) pairs per assortment and from a few
     contexts, so rows repeat in (S, C) alone, and some drawn rows are
     repeated in (S, C, context) with other choices or baskets. With "shared"
-    every batch has one entry (G = 1); with "distinct" each row has a
-    context of its own (G = B) and no row repeats."""
+    every row has one entry; with "distinct" each row has a context of its
+    own and no row repeats."""
     n = draw(st.integers(2, 5))
     entries = draw(st.sampled_from(["shared", "mixed", "distinct"]))
     k = 2 if entries == "distinct" else draw(st.sampled_from([0, 2]))
@@ -450,11 +464,16 @@ def _evaluation_case(draw):
         attention_activation=draw(st.sampled_from([SOFTMAX, ONE_PLUS_RELU])),
     )
     params = M.init_params(config, np.random.default_rng(draw(st.integers(0, 2**16))))
-    return ds, params, config, draw(st.one_of(st.integers(1, len(observations)), st.just(256)))
+    # multi rows offer S: their distinct rows are the distinct (S, context)
+    n_distinct = len({(C if kind == D.SEQUENTIAL else S, S, ctx) for S, C, ctx in rows})
+    batch_size = draw(st.one_of(
+        st.integers(1, n_distinct), st.integers(1, len(observations)), st.just(256)
+    ))
+    return ds, params, config, batch_size
 
 
 def _evaluations(ds, params, config, batch_size):
-    """Every consumer of the batched evaluator on ``ds``, as flat floats."""
+    """Every consumer of the evaluator on ``ds``, as flat floats."""
     utilities = T.network_utilities(config)
     if ds.kind == D.SEQUENTIAL:
         return [
@@ -472,35 +491,99 @@ def _evaluations(ds, params, config, batch_size):
 @given(_evaluation_case())
 def test_batched_evaluator_matches_forwarding_every_row(case):
     got = _evaluations(*case)
-    with mock.patch.object(T, "batch_utilities", _reference_batch_utilities):
+    calls = []
+
+    def reference(*args):
+        calls.append(args[0])
+        return _reference_dataset_utilities(*args)
+
+    with mock.patch.object(T, "dataset_utilities", reference):
         want = _evaluations(*case)
+    # every consumer went through the reference
+    assert len(calls) == (2 if case[0].kind == D.SEQUENTIAL else 3)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_evaluation_case())
-def test_batch_utilities_scores_first_appearances_of_candidates_and_entry(case):
-    # each batch's sub-batch holds the first row of each distinct (sorted
-    # candidates, entry) pair, in order of first appearance, and every row
-    # gets the utilities of its pair's first row
+def test_dataset_utilities_forwards_first_appearances_of_candidates_and_entry(case):
+    # the forwards hold the first row of each distinct (sorted candidates,
+    # (assortment, context)) of the whole dataset, in order of first
+    # appearance, batch_size of them per forward, and every row gets the
+    # scores of its distinct row
     ds, _, _, batch_size = case
-    scored = []
+    numbers: dict = {}
+    for r, o in enumerate(ds.observations):
+        c = tuple(sorted(o.assortment if o.candidates is None else o.candidates))
+        numbers.setdefault((c, o.assortment, o.context), (len(numbers), r))
+    firsts = [r for _, r in numbers.values()]
+    forwarded = []
 
     def row_numbers(batch, params, training=False, rng=None):
-        scored.append(batch)
-        return Tensor(np.arange(batch.size, dtype=float)[:, None] + np.zeros(batch.cand_mask.shape))
+        start = sum(b.size for b in forwarded)
+        forwarded.append(batch)
+        ids = np.arange(start, start + batch.size, dtype=float)
+        return Tensor(ids[:, None] + np.zeros(batch.cand_mask.shape))
 
-    for batch, u in T.batch_utilities(ds, None, row_numbers, batch_size):
-        numbers: dict = {}
-        for b, items in enumerate(batch.cand_items):
-            numbers.setdefault((tuple(items), int(batch.assort_index[b])), (len(numbers), b))
-        index = [numbers[(tuple(c), int(g))][0] for c, g in zip(batch.cand_items, batch.assort_index)]
-        firsts = [b for _, b in numbers.values()]
-        sub = scored.pop()
-        assert sub.cand_items == [batch.cand_items[b] for b in firsts]
-        np.testing.assert_array_equal(sub.assort_index, batch.assort_index[firsts])
-        np.testing.assert_array_equal(sub.cand_features, batch.cand_features[firsts])
-        np.testing.assert_array_equal(u.data[:, 0], index)
+    index, scores = T.dataset_utilities(ds, None, row_numbers, batch_size, _raw)
+    chunks = [firsts[s : s + batch_size] for s in range(0, len(firsts), batch_size)]
+    assert [b.size for b in forwarded] == list(map(len, chunks))
+    for batch, chunk in zip(forwarded, chunks):
+        want = D.pad_batch(ds.catalog, [ds.observations[r] for r in chunk])
+        assert batch.cand_items == want.cand_items
+        assert batch.assort_items == want.assort_items
+        np.testing.assert_array_equal(batch.assort_index, want.assort_index)
+        np.testing.assert_array_equal(batch.cand_features, want.cand_features)
+        np.testing.assert_array_equal(batch.assort_features, want.assort_features)
+    assert scores.shape == (len(firsts), max(len(c) for c, _, _ in numbers))
+    for r, o in enumerate(ds.observations):
+        c = tuple(sorted(o.assortment if o.candidates is None else o.candidates))
+        number = numbers[(c, o.assortment, o.context)][0]
+        assert index[r] == number
+        np.testing.assert_array_equal(scores[number, : len(c)], number)
+        assert not scores[number, len(c) :].any()
+
+
+def test_boost_dataset_is_forwarded_once_per_distinct_row(monkeypatch):
+    # 1200 rows over the 27 (S, C) pairs of the boost generator: one forward
+    # of 27 rows, where batches of 256 rows would forward 5 times
+    ds = D.generate_boosted_synthetic(1200, seed=1)
+    assert len({(o.candidates, o.assortment) for o in ds.observations}) == 27
+    config = small_config()
+    params = M.init_params(config, np.random.default_rng(0))
+    forward_utilities = M.forward_utilities
+    rows = []
+
+    def counted(batch, *args, **kwargs):
+        rows.append(batch.size)
+        return forward_utilities(batch, *args, **kwargs)
+
+    monkeypatch.setattr(M, "forward_utilities", counted)
+    ce = T.dataset_ce(ds, params, config)
+    assert rows == [27]
+    per_sample = I.evaluate(params, config, ds, D.SEQUENTIAL)["per_sample"]
+    assert rows == [27, 27]
+    assert ce == pytest.approx(np.mean(per_sample), abs=1e-12)
+
+
+def test_objectives_need_their_labels():
+    config = small_config()
+    params = M.init_params(config, np.random.default_rng(0))
+    utilities = T.network_utilities(config)
+    baskets = D.generate_boosted_multi(20, seed=0)
+    choices = D.generate_boosted_synthetic(20, seed=0)
+    with pytest.raises(D.DataError, match="ce needs a choice in every row"):
+        T.dataset_ce(baskets, params, config)
+    with pytest.raises(D.DataError, match="binary_ce needs a basket in every row"):
+        T.dataset_loss(choices, params, utilities, "binary_ce")
+    # a row without a choice has label -1 in the row index: ce refuses it
+    # instead of reading its last candidate
+    mixed = D.ChoiceDataset._of_valid(
+        choices.catalog, choices.observations[:3] + baskets.observations[:1], D.SEQUENTIAL
+    )
+    assert mixed._rows.labels[-1] == -1
+    with pytest.raises(D.DataError, match="ce needs a choice in every row"):
+        T.dataset_loss(mixed, params, utilities, "ce")
 
 
 class TestDistinctRows:
@@ -512,10 +595,10 @@ class TestDistinctRows:
         return M.init_params(config, np.random.default_rng(4)), config
 
     def scored(self, ds, params, config, batch_size=256):
-        """The rows handed to the utilities and the utilities yielded."""
+        """The rows handed to the utilities and each row's utilities."""
         counted, rows = _row_counter(T.network_utilities(config))
-        yielded = [u.data for _, u in T.batch_utilities(ds, params, counted, batch_size)]
-        return rows, yielded
+        index, u = T.dataset_utilities(ds, params, counted, batch_size, _raw)
+        return rows, u[index]
 
     def test_rows_differing_only_in_context_are_not_merged(self):
         obs = [
@@ -524,12 +607,12 @@ class TestDistinctRows:
         ]
         ds = D.ChoiceDataset(D.ItemCatalog.one_hot(list("abcd")), obs, D.SEQUENTIAL)
         params, config = self.net(5)
-        rows, (u,) = self.scored(ds, params, config)
+        rows, u = self.scored(ds, params, config)
         assert rows == [2]
-        assert not np.array_equal(u[0, :3], u[1, :3])
+        assert not np.array_equal(u[0], u[1])
         np.testing.assert_array_equal(u[0], u[2])
-        (_, ref), = _reference_batch_utilities(ds, params, T.network_utilities(config))
-        np.testing.assert_array_equal(u[:, :3], ref.data[:, :3])
+        _, ref = _reference_dataset_utilities(ds, params, T.network_utilities(config), 256, _raw)
+        np.testing.assert_array_equal(u, ref)
 
     def test_repeated_rows_keep_their_own_nll(self):
         cat = D.ItemCatalog.one_hot(list("abcd"))
