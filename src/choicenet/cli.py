@@ -73,7 +73,10 @@ def cmd_train(args) -> int:
 
     # one split for every repeat, so their validation losses compare; only
     # the training seed varies
-    splits = _reduce_splits(D.split(ds, seed=args.seed), args.task, args.seed)
+    splits = tuple(
+        D.reduce_split(part, args.task, args.seed, k)
+        for k, part in enumerate(D.split(ds, seed=args.seed))
+    )
     objective = "binary_ce" if args.task == "multi" else "ce"
     reports = []
     best_val, best_artifacts = np.inf, None
@@ -113,33 +116,17 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _reduce_splits(splits, task, seed):
-    """Fix one expansion of multi-basket val/test splits for a sequential
-    task; ``training.fit`` expands the train split anew every epoch."""
-    train, val, test = splits
-    return train, _fixed_expansion(val, task, seed, 1), _fixed_expansion(test, task, seed, 2)
-
-
-def _fixed_expansion(part, task, seed, k):
-    """Split ``k`` (1 val, 2 test) as a single or sequential task scores it:
-    multi baskets expanded in the fixed order drawn at ``seed + 100 + k``."""
-    if task == "multi" or part.kind != D.MULTI:
-        return part
-    return D.multi_to_sequential(part, np.random.default_rng(seed + 100 + k))
-
-
 def _test_metric(params, config, test_ds, task, threshold):
     if task == "multi":
         rep = I.evaluate(params, config, test_ds, D.MULTI, mu=threshold)
         return {"f1_loss": rep["f1_loss"]}
-    seq = test_ds if test_ds.kind == D.SEQUENTIAL else D.single_to_sequential(test_ds)
-    return {"ce": T.dataset_ce(seq, params, config)}
+    return {"ce": T.dataset_ce(test_ds, params, config)}
 
 
 def cmd_eval(args) -> int:
     params, config = M.load_checkpoint(args.checkpoint)
     # a basket file is scored as `train` scores its test split
-    ds = _fixed_expansion(_load_dataset(args), args.task, args.seed, 2)
+    ds = D.reduce_split(_load_dataset(args), args.task, args.seed, 2)
     for k, v in _test_metric(params, config, ds, args.task, args.threshold).items():
         print(f"{k}: {v}")
     if args.task == "multi":

@@ -6,7 +6,10 @@ Three observation kinds are supported:
 * sequential: a choice ``i`` from candidates ``C`` within assortment ``S``
 * multi:      a basket ``B`` chosen from ``S``
 
-Single and multi datasets reduce to sequential form for model training.
+The network scores sequential rows. A single choice is padded as the row
+(i, C = S, S). A basket is expanded into sequential rows by
+``multi_to_sequential``: for training anew every epoch, for validation and
+testing once, in the fixed order of ``reduce_split``.
 """
 
 from __future__ import annotations
@@ -337,23 +340,6 @@ def split(
     )
 
 
-def single_to_sequential(ds: ChoiceDataset) -> ChoiceDataset:
-    """Augment each (i, S) into (i, C=S, S)."""
-    if ds.kind != SINGLE:
-        raise DataError(f"expected a single-choice dataset, got {ds.kind}")
-    observations = [
-        ChoiceObservation(
-            kind=SEQUENTIAL,
-            assortment=obs.assortment,
-            candidates=obs.assortment,
-            choice=obs.choice,
-            context=obs.context,
-        )
-        for obs in ds.observations
-    ]
-    return ChoiceDataset._of_valid(ds.catalog, observations, SEQUENTIAL)
-
-
 def multi_to_sequential(
     ds: ChoiceDataset, rng: np.random.Generator, append_stop: bool = False
 ) -> ChoiceDataset:
@@ -400,6 +386,21 @@ def multi_to_sequential(
                 )
             )
     return ChoiceDataset._of_valid(ds.catalog, observations, SEQUENTIAL)
+
+
+def reduce_split(part: ChoiceDataset, task: str, seed: int, k: int) -> ChoiceDataset:
+    """Split ``k`` (0 train, 1 val, 2 test) of a run at ``seed`` as ``task``
+    trains and scores it. For the single and sequential tasks a basket val or
+    test split is expanded once, in the order drawn at ``seed + 100 + k``; a
+    basket train split is expanded anew every epoch by ``training.fit``.
+    Every other split comes back as it is. The multi task needs baskets."""
+    if task == MULTI:
+        if part.kind != MULTI:
+            raise DataError(f"task {task} needs basket data, got {part.kind} data")
+        return part
+    if part.kind != MULTI or k == 0:
+        return part
+    return multi_to_sequential(part, np.random.default_rng(seed + 100 + k))
 
 
 # ---------------------------------------------------------------------------

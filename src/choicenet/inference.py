@@ -18,7 +18,6 @@ from .data import (
     ItemCatalog,
     PaddedBatch,
     pad_batch,
-    single_to_sequential,
 )
 from . import model as M
 from . import training as T
@@ -220,8 +219,7 @@ def evaluate(params, config, ds: ChoiceDataset, task: str, mu: float = 0.5) -> d
     if task in (SINGLE, SEQUENTIAL):
         if ds.kind != task:
             raise ValueError(f"task {task} but dataset kind {ds.kind}")
-        seq = single_to_sequential(ds) if ds.kind == SINGLE else ds
-        nll = T.choice_nll(seq, params, T.network_utilities(config))
+        nll = T.choice_nll(ds, params, T.network_utilities(config))
         return {"ce": float(np.mean(nll)), "per_sample": nll.tolist()}
     if task == MULTI:
         membership = _membership_probs(params, config, ds)

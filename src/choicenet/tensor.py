@@ -262,12 +262,6 @@ class Tensor:
 
         return Tensor._from_op(np.maximum(self.data, 0.0), (self,), backward, "relu")
 
-    def one_plus_relu(self) -> "Tensor":
-        def backward(dy, a=self):
-            _accumulate(a, dy * (a.data > 0))
-
-        return Tensor._from_op(1.0 + np.maximum(self.data, 0.0), (self,), backward, "one_plus_relu")
-
     def sigmoid(self) -> "Tensor":
         y = 1.0 / (1.0 + np.exp(-self.data))
 
@@ -297,14 +291,6 @@ class Tensor:
             _accumulate(a, dy * np.ones_like(a.data))
 
         return Tensor._from_op(np.asarray(self.data.sum()), (self,), backward, "sum")
-
-    def mean(self) -> "Tensor":
-        n = self.data.size
-
-        def backward(dy, a=self):
-            _accumulate(a, dy * np.full_like(a.data, 1.0 / n))
-
-        return Tensor._from_op(np.asarray(self.data.mean()), (self,), backward, "mean")
 
     def reshape(self, *shape) -> "Tensor":
         if int(np.prod(shape)) != self.data.size:

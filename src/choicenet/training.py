@@ -305,22 +305,28 @@ def fit(
 
     ``objective`` is "ce" (sequential CE over candidates) or "binary_ce"
     (independent per-item CE for the threshold/multi head).
+
+    The splits are trained as given. Under "ce" a basket train set is
+    expanded in a fresh random order every epoch, and a basket validation
+    set must come expanded once (``data.reduce_split``); "binary_ce" needs
+    basket train and validation sets.
     """
     if objective not in ("ce", "binary_ce"):
         raise ValueError(f"unknown objective {objective!r}")
     t0 = time.time()
     train_ds, val_ds, _ = splits
+    if objective == "ce" and val_ds.kind == D.MULTI:
+        raise D.DataError(
+            "ce validates on sequential rows: expand the basket validation set "
+            "once with data.reduce_split"
+        )
+    if objective == "binary_ce" and not train_ds.kind == val_ds.kind == D.MULTI:
+        raise D.DataError(
+            f"binary_ce needs basket train and validation sets, got {train_ds.kind} "
+            f"and {val_ds.kind}"
+        )
     rng = np.random.default_rng(train_config.seed)
 
-    if train_ds.kind == D.SINGLE:
-        train_ds = D.single_to_sequential(train_ds)
-    if val_ds.kind == D.SINGLE:
-        val_ds = D.single_to_sequential(val_ds)
-    # validation expansion fixed once per run for stable metrics
-    if val_ds.kind == D.MULTI and objective == "ce":
-        val_ds = D.multi_to_sequential(val_ds, np.random.default_rng(train_config.seed + 1))
-
-    # multi baskets get a fresh random ordering each epoch under ce
     expand = train_ds.kind == D.MULTI and objective == "ce"
     epochs = train_config.epochs
     approx_expanded = len(train_ds)

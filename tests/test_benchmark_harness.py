@@ -1,5 +1,6 @@
 """Smoke test of the benchmark harness: a tiny pass of each workload, untraced
-and traced, runs through the public API and passes its own checks."""
+and traced, runs through the public API, passes its own checks and reports
+every metric that BENCHMARK.json declares."""
 
 import json
 import os
@@ -10,6 +11,13 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN = os.path.join(ROOT, "benchmarks", "run.py")
+with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
+    _DECLARED = json.load(_fh)
+# the metrics a result must hold: end-to-end untraced, per-layer traced
+METRICS = {
+    trace: {m["name"] for m in _DECLARED[kind]}
+    for trace, kind in (("0", "end_to_end"), ("1", "per_layer"))
+}
 
 
 def _strict_constant(name):
@@ -28,3 +36,6 @@ def test_tiny_pass(workload):
         result = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=_strict_constant)
         assert result["correct"] is True, (trace, proc.stderr[-2000:])
         assert result["failed"] == 0, (trace, proc.stderr[-2000:])
+        # a wrapped name that no longer exists drops its metrics silently
+        missing = METRICS[trace] - set(result["metrics"])
+        assert not missing, (trace, sorted(missing))

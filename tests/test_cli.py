@@ -103,7 +103,10 @@ class TestEndToEnd:
         # its training seed (--seed + repeat), so their validation losses
         # compare
         args = build_parser().parse_args([str(a) for a in ["--seed", 1, *train]])
-        splits = cli._reduce_splits(D.split(D.load_csv(str(data)), seed=1), "sequential", 1)
+        splits = [
+            D.reduce_split(part, "sequential", 1, k)
+            for k, part in enumerate(D.split(D.load_csv(str(data)), seed=1))
+        ]
         best_val, trained = [], []
         for k in range(2):
             mc = cli._model_config(args, D.effective_feature_dim(splits[0]))
@@ -294,6 +297,14 @@ class TestExitCodes:
         assert rc == EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert "--threshold" in err and "1.5" in err
+
+    def test_multi_task_on_sequential_data_is_bad_input(self, tmp_path, capsys):
+        data = tmp_path / "boost.csv"
+        run(["gen-synthetic", "--samples", 300, "--out-file", data])
+        rc = run(["train", "--task", "multi", "--data", data, "--out", tmp_path / "runs",
+                  "--epochs", 1])
+        assert rc == EXIT_BAD_INPUT
+        assert "task multi needs basket data, got sequential" in capsys.readouterr().err
 
     def test_bad_item_name_is_bad_input(self, tmp_path):
         ckpt = tmp_path / "c.npz"

@@ -113,29 +113,6 @@ class TestSplit:
         )
 
 
-class TestSingleToSequential:
-    def test_definition(self):
-        cat = D.ItemCatalog.one_hot(["a", "b", "c"])
-        obs = D.ChoiceObservation(D.SINGLE, frozenset({0, 1, 2}), choice=1)
-        ds = D.ChoiceDataset(cat, [obs], D.SINGLE)
-        seq = D.single_to_sequential(ds)
-        assert seq.observations[0].candidates == frozenset({0, 1, 2})
-        assert seq.observations[0].choice == 1
-
-    def test_wrong_kind(self):
-        ds = D.generate_boosted_synthetic(3, seed=0)
-        with pytest.raises(D.DataError):
-            D.single_to_sequential(ds)
-
-    def test_count_preserved(self):
-        cat = D.ItemCatalog.one_hot(["a", "b"])
-        obs = [
-            D.ChoiceObservation(D.SINGLE, frozenset({0, 1}), choice=i % 2) for i in range(500)
-        ]
-        ds = D.ChoiceDataset(cat, obs, D.SINGLE)
-        assert len(D.single_to_sequential(ds)) == 500
-
-
 class TestMultiToSequential:
     def make_ds(self, baskets, assortment, n=4):
         cat = D.ItemCatalog.one_hot([f"i{k}" for k in range(n)])
@@ -201,39 +178,56 @@ class TestMultiToSequential:
 
 @st.composite
 def _reducible(draw):
-    """A single or multi dataset over a catalog that carries the stop item,
-    with contexts of one drawn length, and whether to append stops."""
+    """A multi dataset over a catalog that carries the stop item, with
+    contexts of one drawn length, and whether to append stops."""
     n = draw(st.integers(1, 5))
     catalog = D.ItemCatalog.one_hot([f"i{j}" for j in range(n)]).with_stop_item()
-    kind = draw(st.sampled_from([D.SINGLE, D.MULTI]))
     k = draw(st.integers(0, 2))
     value = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
     observations = []
     for _ in range(draw(st.integers(1, 6))):
         S = draw(st.sets(st.integers(0, n - 1), min_size=1).map(frozenset))
         context = tuple(draw(value) for _ in range(k)) or None
-        if kind == D.SINGLE:
-            observations.append(D.ChoiceObservation(
-                kind, S, choice=draw(st.sampled_from(sorted(S))), context=context
-            ))
-        else:
-            basket = draw(st.sets(st.sampled_from(sorted(S)), min_size=1).map(frozenset))
-            observations.append(D.ChoiceObservation(kind, S, basket=basket, context=context))
-    return D.ChoiceDataset(catalog, observations, kind), draw(st.booleans())
+        basket = draw(st.sets(st.sampled_from(sorted(S)), min_size=1).map(frozenset))
+        observations.append(D.ChoiceObservation(D.MULTI, S, basket=basket, context=context))
+    return D.ChoiceDataset(catalog, observations, D.MULTI), draw(st.booleans())
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_reducible(), st.integers(0, 2**16))
 def test_reductions_build_valid_datasets(case, seed):
-    # the reductions skip validation; what they build must pass it
+    # the expansion skips validation; what it builds must pass it
     ds, append_stop = case
-    if ds.kind == D.SINGLE:
-        seq = D.single_to_sequential(ds)
-    else:
-        seq = D.multi_to_sequential(ds, np.random.default_rng(seed), append_stop)
+    seq = D.multi_to_sequential(ds, np.random.default_rng(seed), append_stop)
     assert seq.kind == D.SEQUENTIAL and seq.catalog is ds.catalog
     validated = D.ChoiceDataset(seq.catalog, seq.observations, seq.kind)
     assert validated.observations == seq.observations
+
+
+class TestReduceSplit:
+    baskets = D.generate_boosted_multi(30, seed=1)
+    choices = D.generate_boosted_synthetic(30, seed=1)
+
+    @pytest.mark.parametrize("task", [D.SINGLE, D.SEQUENTIAL])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_basket_val_and_test_expand_once_at_seed_plus_100_plus_k(self, task, k):
+        got = D.reduce_split(self.baskets, task, 7, k)
+        want = D.multi_to_sequential(self.baskets, np.random.default_rng(107 + k))
+        assert got.kind == D.SEQUENTIAL
+        assert got.observations == want.observations
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_other_splits_come_back_as_they_are(self, k):
+        for task in (D.SINGLE, D.SEQUENTIAL):
+            assert D.reduce_split(self.choices, task, 7, k) is self.choices
+            # fit expands a basket train split anew every epoch
+            assert D.reduce_split(self.baskets, task, 7, 0) is self.baskets
+        assert D.reduce_split(self.baskets, D.MULTI, 7, k) is self.baskets
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_multi_task_needs_baskets(self, k):
+        with pytest.raises(D.DataError, match="task multi needs basket data, got sequential"):
+            D.reduce_split(self.choices, D.MULTI, 7, k)
 
 
 class TestBoostedSynthetic:

@@ -38,11 +38,10 @@ class TestPredict:
             assert probs[pos] == pytest.approx(truth, abs=1e-6)
 
     def test_single_is_c_equals_s(self, small_net):
-        # `predict --task single` scores C = S, the reduction training uses
+        # `predict --task single` scores C = S, as a single row is padded
         params, cfg, catalog = small_net
         S = frozenset({0, 1, 3})
-        single = D.ChoiceDataset(catalog, [D.ChoiceObservation(D.SINGLE, S, choice=1)], D.SINGLE)
-        batch = D.pad_batch(catalog, D.single_to_sequential(single).observations)
+        batch = D.pad_batch(catalog, [D.ChoiceObservation(D.SINGLE, S, choice=1)])
         with no_grad():
             ref = M.forward(batch, params, cfg).probs[0]
         items, probs = I.predict_sequential(params, cfg, catalog, S, S)

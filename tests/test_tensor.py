@@ -143,11 +143,6 @@ class TestElementwise:
     def test_relu(self):
         np.testing.assert_array_equal(Tensor([-1.0, 0.0, 2.0]).relu().data, [0, 0, 2])
 
-    def test_one_plus_relu(self):
-        np.testing.assert_array_equal(
-            Tensor([-3.0, 0.5]).one_plus_relu().data, [1.0, 1.5]
-        )
-
     def test_relu_subgradient_zero_at_kink(self):
         x = Tensor([0.0, -1.0, 1.0], requires_grad=True)
         x.relu().sum().backward()
@@ -433,13 +428,13 @@ def test_op_gradients_match_finite_differences(opname):
 
     def build():
         if opname == "relu_chain":
-            return (x.relu() + x.one_plus_relu()).mean()
+            return (x.relu() + x.relu().shift(1.0)).sum().scale(1 / x.data.size)
         if opname == "softmax_chain":
             return (x.masked_softmax(mask) * c).sum()
         if opname == "layernorm_chain":
             return x.layer_norm(Tensor(np.ones(4)), Tensor(np.zeros(4))).relu().sum()
         if opname == "sigmoid_log":
-            return x.sigmoid().log().mean()
+            return x.sigmoid().log().sum().scale(1 / x.data.size)
         if opname == "concat_chain":
             return concat([x, x.scale(2.0)], axis=-1).relu().sum()
         raise AssertionError
@@ -473,7 +468,7 @@ def test_nan_input_rejected():
 
 def per_head_attention(qs, ks, vs, key_mask, activation, scale):
     """Each head through the separate ops (matmul, transpose_last,
-    masked_softmax or one_plus_relu), outputs concatenated: the reference
+    masked_softmax or relu then shift by 1), outputs concatenated: the reference
     for ``attention_heads``."""
     keys = np.asarray(key_mask, bool)[:, None, :]
     outs, weights = [], []
@@ -483,7 +478,7 @@ def per_head_attention(qs, ks, vs, key_mask, activation, scale):
             w = scores.masked_softmax(keys, scale=scale)
         else:
             mask = Tensor(np.broadcast_to(keys, scores.shape).astype(np.float64))
-            w = scores.scale(scale).one_plus_relu() * mask
+            w = scores.scale(scale).relu().shift(1.0) * mask
         outs.append(w.matmul(v))
         weights.append(w.data)
     return concat(outs, axis=-1), np.stack(weights, axis=1)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 from unittest import mock
@@ -271,11 +272,32 @@ class TestTrainLoop:
 
     def test_multi_ce_expands_baskets(self):
         ds = D.generate_boosted_multi(40, seed=3)
-        splits = D.split(ds, seed=4)
+        splits = [
+            D.reduce_split(part, D.SEQUENTIAL, 0, k)
+            for k, part in enumerate(D.split(ds, seed=4))
+        ]
+        assert [p.kind for p in splits] == [D.MULTI, D.SEQUENTIAL, D.SEQUENTIAL]
         mc = small_config()
         tc = T.TrainConfig(epochs=2, batch_size=16, seed=0)
         params, report = T.train(mc, splits, tc, objective="ce")
         assert all(np.isfinite(v) for v in report.val_losses)
+
+    def test_ce_refuses_an_unexpanded_basket_validation_set(self):
+        splits = D.split(D.generate_boosted_multi(40, seed=3), seed=4)
+        tc = T.TrainConfig(epochs=1, batch_size=16, seed=0)
+        with pytest.raises(D.DataError, match="reduce_split"):
+            T.train(small_config(), splits, tc, objective="ce")
+
+    def test_binary_ce_refuses_sequential_splits_before_a_step(self):
+        mc = small_config()
+        params = M.init_params(mc, np.random.default_rng(0))
+        init = {k: p.data.copy() for k, p in params.items()}
+        tc = T.TrainConfig(epochs=1, batch_size=16, seed=0)
+        with pytest.raises(D.DataError, match="binary_ce needs basket train and validation"):
+            T.fit(params, T.network_utilities(mc), small_splits(), tc, objective="binary_ce")
+        for k, p in params.items():
+            np.testing.assert_array_equal(p.data, init[k])
+            assert p.grad is None or not p.grad.any()
 
 
 def bakery_step_inputs():
@@ -584,6 +606,84 @@ def test_objectives_need_their_labels():
     assert mixed._rows.labels[-1] == -1
     with pytest.raises(D.DataError, match="ce needs a choice in every row"):
         T.dataset_loss(mixed, params, utilities, "ce")
+
+
+# -- a single row is padded as its C = S sequential row ----------------------
+
+
+@st.composite
+def _single_case(draw):
+    """A single dataset over a few assortments, with or without contexts;
+    its C = S sequential form, built by hand; a network with dropout for
+    them, a batch size and a seed."""
+    n = draw(st.integers(2, 5))
+    k = draw(st.sampled_from([0, 2]))
+    value = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    assortments = draw(st.lists(
+        st.sets(st.integers(0, n - 1), min_size=1).map(frozenset), min_size=1, max_size=3
+    ))
+    single, seq = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        S = draw(st.sampled_from(assortments))
+        choice = draw(st.sampled_from(sorted(S)))
+        context = tuple(draw(value) for _ in range(k)) or None
+        single.append(D.ChoiceObservation(D.SINGLE, S, choice=choice, context=context))
+        seq.append(D.ChoiceObservation(
+            D.SEQUENTIAL, S, candidates=S, choice=choice, context=context
+        ))
+    catalog = D.ItemCatalog.one_hot([f"i{j}" for j in range(n)])
+    config = small_config(
+        input_dim=n + k, hidden_dim=4, n_heads=draw(st.sampled_from([1, 2])), dropout_rate=0.2
+    )
+    return (
+        D.ChoiceDataset(catalog, single, D.SINGLE),
+        D.ChoiceDataset(catalog, seq, D.SEQUENTIAL),
+        config,
+        draw(st.integers(1, len(single))),
+        draw(st.integers(0, 2**16)),
+    )
+
+
+def _assert_same_batch(batch, want):
+    """``batch`` equals ``want`` field for field."""
+    for field in dataclasses.fields(D.PaddedBatch):
+        got, ref = getattr(batch, field.name), getattr(want, field.name)
+        if isinstance(ref, np.ndarray):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), field.name
+        else:
+            assert got == ref, field.name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_single_case())
+def test_single_dataset_trains_and_scores_as_its_c_equals_s_form(case):
+    single, seq, config, batch_size, seed = case
+    _assert_same_batch(
+        D.pad_batch(single.catalog, single.observations),
+        D.pad_batch(seq.catalog, seq.observations),
+    )
+    batches = zip(
+        D.make_batches(single, batch_size, np.random.default_rng(seed)),
+        D.make_batches(seq, batch_size, np.random.default_rng(seed)),
+        strict=True,
+    )
+    for got, want in batches:
+        _assert_same_batch(got, want)
+    params = M.init_params(config, np.random.default_rng(seed))
+    assert T.dataset_ce(single, params, config, batch_size) == T.dataset_ce(
+        seq, params, config, batch_size
+    )
+    assert (
+        I.evaluate(params, config, single, D.SINGLE)["per_sample"]
+        == I.evaluate(params, config, seq, D.SEQUENTIAL)["per_sample"]
+    )
+    tc = T.TrainConfig(initial_lr=0.01, epochs=2, batch_size=batch_size, seed=seed)
+    got, got_report = T.train(config, (single, single, single), tc)
+    want, want_report = T.train(config, (seq, seq, seq), tc)
+    assert got_report.train_losses == want_report.train_losses
+    assert got_report.val_losses == want_report.val_losses
+    for name, p in want.items():
+        np.testing.assert_array_equal(got[name].data, p.data)
 
 
 class TestDistinctRows:
