@@ -748,16 +748,39 @@ def pad_batch(catalog: ItemCatalog, observations: list[ChoiceObservation]) -> Pa
     return _Rows.of(catalog, observations).batch()
 
 
+@dataclass
+class CountedBatch:
+    """A batch of rows as its D distinct rows and their counts.
+
+    ``batch`` holds the first row of each distinct row of the batch (the
+    same sorted candidates and the same (assortment, context) entry: one
+    ``key`` of the row index), in order of first appearance, and equals
+    ``pad_batch`` of those rows. ``rows`` counts the batch's rows of each
+    distinct row, and ``chosen[d, pos]`` how many of them chose candidate
+    position ``pos``: their label when every row has a choice, each basket
+    member when every row has a basket (None otherwise)."""
+
+    batch: PaddedBatch  # D rows
+    rows: np.ndarray  # D int
+    chosen: np.ndarray | None  # D x Cmax float
+
+    @property
+    def size(self) -> int:
+        """The number of rows the batch stands for."""
+        return int(self.rows.sum())
+
+
 def make_batches(
     ds: ChoiceDataset,
     batch_size: int,
     rng: np.random.Generator | None = None,
     shuffle: bool = True,
 ):
-    """Yield the PaddedBatches of ``ds``, ``batch_size`` rows each, shuffled
+    """Yield the CountedBatches of ``ds``, ``batch_size`` rows each, shuffled
     when ``shuffle``. Every row of ``ds`` is padded once, on the first
-    batching of ``ds``; each batch gathers its rows from those, and equals
-    ``pad_batch`` of its observations."""
+    batching of ``ds``; each batch gathers its distinct rows from those,
+    numbered by ``renumber`` of its rows' keys, and counts their labels or
+    basket members."""
     rows = ds._rows
     order = np.arange(len(ds.observations))
     if shuffle:
@@ -765,4 +788,14 @@ def make_batches(
             raise DataError("shuffling requires an rng")
         order = rng.permutation(order)
     for start in range(0, len(order), batch_size):
-        yield rows.take(order[start : start + batch_size]).batch()
+        taken = order[start : start + batch_size]
+        index, firsts = renumber(rows.key[taken])
+        distinct = rows.take(taken[firsts])
+        chosen = np.zeros(distinct.cand.shape)
+        if rows.labels is not None and (rows.labels[taken] >= 0).all():
+            np.add.at(chosen, (index, rows.labels[taken]), 1.0)
+        elif rows.baskets is not None and rows.has_basket[taken].all():
+            np.add.at(chosen, index, rows.baskets[taken, : chosen.shape[1]])
+        else:
+            chosen = None
+        yield CountedBatch(distinct.batch(), np.bincount(index), chosen)

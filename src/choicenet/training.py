@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor, no_grad
+from .tensor import NonFiniteError, Tensor, no_grad
 from . import data as D
 from . import model as M
 
@@ -32,34 +32,41 @@ class LossStats:
     clamped_labels: int = 0
 
 
-def ce_loss(probs: Tensor, labels: np.ndarray, stats: LossStats | None = None) -> Tensor:
-    """Mean negative log-probability of the labeled candidate positions.
+def ce_loss(probs: Tensor, counts: np.ndarray, stats: LossStats | None = None) -> Tensor:
+    """Mean negative log-probability of the chosen candidate positions:
+    -sum(W * log p) / B.
 
-    ``labels`` holds the candidate-axis position of the choice per row.
-    Probabilities below the floor are clamped inside the log.
+    ``probs`` has one row per distinct row of a batch, and ``counts``
+    (W, the same shape) holds how many of the batch's B rows of each
+    distinct row chose each candidate position; B is its sum. A batch with
+    no repeated row has a one-hot W. Probabilities below the floor are
+    clamped inside the log, and ``stats`` counts each clamped choice once
+    for every row that made it.
     """
-    B, C = probs.shape
-    onehot = np.zeros((B, C))
-    onehot[np.arange(B), labels] = 1.0
-    picked = probs.data[np.arange(B), labels]
     if stats is not None:
-        stats.clamped_labels += int((picked < LOG_FLOOR).sum())
-    logp = probs.log(floor=LOG_FLOOR) * Tensor(onehot)
-    return logp.sum().scale(-1.0 / B)
+        stats.clamped_labels += int(counts[probs.data < LOG_FLOOR].sum())
+    logp = probs.log(floor=LOG_FLOOR) * Tensor(counts)
+    return logp.sum().scale(-1.0 / counts.sum())
 
 
 def independent_ce_loss(
-    utilities: Tensor, chosen_mask: np.ndarray, valid_mask: np.ndarray
+    utilities: Tensor, chosen_counts: np.ndarray, valid_counts: np.ndarray
 ) -> Tensor:
     """Mean binary cross-entropy of sigmoid(u_i) against basket membership,
-    over valid (unpadded) assortment positions."""
-    y = np.asarray(chosen_mask, dtype=np.float64)
-    v = np.asarray(valid_mask, dtype=np.float64)
-    n_valid = v.sum()
+    over valid (unpadded) assortment positions.
+
+    ``utilities`` has one row per distinct row of a batch; for each,
+    ``chosen_counts`` sums its rows' basket masks and ``valid_counts`` their
+    valid masks. Each position's positive term is weighted by the rows that
+    hold it in their basket, its negative term by the other valid rows, and
+    the mean is over every row's valid positions. With no repeated row the
+    counts are the masks themselves."""
+    y = np.asarray(chosen_counts, dtype=np.float64)
+    v = np.asarray(valid_counts, dtype=np.float64)
     s = utilities.sigmoid()
-    pos = s.log(floor=LOG_FLOOR) * Tensor(y * v)
-    neg = (s.scale(-1.0).shift(1.0)).log(floor=LOG_FLOOR) * Tensor((1.0 - y) * v)
-    return (pos + neg).sum().scale(-1.0 / n_valid)
+    pos = s.log(floor=LOG_FLOOR) * Tensor(y)
+    neg = (s.scale(-1.0).shift(1.0)).log(floor=LOG_FLOOR) * Tensor(v - y)
+    return (pos + neg).sum().scale(-1.0 / v.sum())
 
 
 def uniform_ce(batch_candidate_counts) -> float:
@@ -170,6 +177,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.decay_every < 1:
+            raise ValueError(f"decay_every must be >= 1, got {self.decay_every}")
         for grid in (self.lr_grid, self.hidden_grid, self.heads_grid):
             if not grid:
                 raise ValueError("grids must be nonempty")
@@ -186,6 +195,11 @@ class TrainReport:
     test_metrics: dict = field(default_factory=dict)
     wall_clock: float = 0.0
     clamped_labels: int = 0
+    epochs_requested: int = 0  # before the cap past DESK_SCALE_LIMIT
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.train_losses)
 
     def to_text(self) -> str:
         lines = ["epoch\ttrain_loss\tval_loss"]
@@ -195,6 +209,13 @@ class TrainReport:
         for k, v in self.test_metrics.items():
             lines.append(f"test_{k}\t{v}")
         lines.append(f"wall_clock_s\t{self.wall_clock:.2f}")
+        capped = self.epochs_requested > self.epochs_run
+        lines.append(
+            f"epochs_run\t{self.epochs_run}"
+            + (f" of {self.epochs_requested} requested (capped past "
+               f"{DESK_SCALE_LIMIT} samples an epoch)" if capped else "")
+        )
+        lines.append(f"clamped_labels\t{self.clamped_labels}")
         return "\n".join(lines) + "\n"
 
 
@@ -217,8 +238,7 @@ def dataset_utilities(ds: D.ChoiceDataset, params, utilities, batch_size: int, s
     forwarded, ``batch_size`` of them per forward, and ``score(batch, u)``
     turns each forward's B x Cmax utilities into per-position scores, such
     as the softmax over the batch's candidates. A dataset without repeated
-    rows is forwarded in the batches of ``make_batches(ds, batch_size,
-    shuffle=False)``.
+    rows is forwarded in order, ``batch_size`` rows at a time.
 
     Returns ``(index, scores)``: each row's distinct row, and the distinct
     rows' scores, one row each over the dataset's widest candidate set, 0 at
@@ -310,6 +330,15 @@ def fit(
     expanded in a fresh random order every epoch, and a basket validation
     set must come expanded once (``data.reduce_split``); "binary_ce" needs
     basket train and validation sets.
+
+    Each step forwards and back-propagates a shuffled batch's distinct rows
+    (``data.make_batches``), once each, and weights the loss by how many of
+    the batch's rows each stands for and what they chose; the mean is still
+    over the batch's rows. Rows that share a forward share its dropout
+    masks. A non-finite value in a step or a validation pass raises
+    ``DivergedError`` naming the op or parameter, the epoch and the batch.
+    Past ``DESK_SCALE_LIMIT`` samples an epoch, at most 50 epochs run; the
+    report records the epochs run and requested.
     """
     if objective not in ("ce", "binary_ce"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -338,28 +367,36 @@ def fit(
 
     opt = Adam(params, lr=train_config.initial_lr, weight_decay=train_config.weight_decay)
     stats = LossStats()
-    report = TrainReport()
+    report = TrainReport(epochs_requested=train_config.epochs)
     best_val = np.inf
     best_params = None
 
     for epoch in range(epochs):
         opt.lr = train_config.lr_at(epoch)
         epoch_ds = D.multi_to_sequential(train_ds, rng) if expand else train_ds
-        epoch_loss, n_batches = 0.0, 0
-        for batch in D.make_batches(epoch_ds, train_config.batch_size, rng, shuffle=True):
-            opt.zero_grad()
-            u = utilities(batch, params, True, rng)
-            if objective == "ce":
-                loss = ce_loss(u.masked_softmax(batch.cand_mask), batch.labels, stats)
-            else:
-                loss = independent_ce_loss(u, batch.label_mask, batch.cand_mask)
-            loss.backward()
-            opt.step()
+        epoch_loss = 0.0
+        batches = D.make_batches(epoch_ds, train_config.batch_size, rng, shuffle=True)
+        for b, counted in enumerate(batches):
+            batch = counted.batch
+            try:
+                opt.zero_grad()
+                u = utilities(batch, params, True, rng)
+                if objective == "ce":
+                    loss = ce_loss(u.masked_softmax(batch.cand_mask), counted.chosen, stats)
+                else:
+                    valid = counted.rows[:, None] * batch.cand_mask
+                    loss = independent_ce_loss(u, counted.chosen, valid)
+                loss.backward()
+                opt.step()
+            except (NonFiniteError, DivergedError) as exc:
+                raise DivergedError(f"{exc} at epoch {epoch}, batch {b}") from exc
             epoch_loss += loss.item()
-            n_batches += 1
-        report.train_losses.append(epoch_loss / n_batches)
+        report.train_losses.append(epoch_loss / (b + 1))
 
-        val = dataset_loss(val_ds, params, utilities, objective, train_config.batch_size)
+        try:
+            val = dataset_loss(val_ds, params, utilities, objective, train_config.batch_size)
+        except NonFiniteError as exc:
+            raise DivergedError(f"{exc} in validation at epoch {epoch}") from exc
         if not np.isfinite(val):
             raise DivergedError(f"validation loss diverged at epoch {epoch}")
         report.val_losses.append(val)

@@ -65,10 +65,11 @@ def test_02_gradient_check_every_parameter():
         decoder_dims=(6,),
     )
     params = M.init_params(cfg)
+    onehot = np.eye(batch.cand_mask.shape[1])[batch.labels]
 
     def loss_value():
         res = M.forward(batch, params, cfg)
-        return T.ce_loss(res.loss_input, batch.labels).item()
+        return T.ce_loss(res.loss_input, onehot).item()
 
     h = 1e-5
     worst = 0.0
@@ -78,7 +79,7 @@ def test_02_gradient_check_every_parameter():
         for t in params.values():
             t.zero_grad()
         res = M.forward(batch, params, cfg)
-        T.ce_loss(res.loss_input, batch.labels).backward()
+        T.ce_loss(res.loss_input, onehot).backward()
         analytic = p.grad.copy()
         flat = p.data.reshape(-1)
         aflat = analytic.reshape(-1)

@@ -11,6 +11,7 @@ from choicenet import inference as I
 from choicenet import model as M
 from choicenet import oracle as O
 from choicenet import training as T
+from choicenet.tensor import Tensor
 
 
 def run(argv):
@@ -297,6 +298,32 @@ class TestExitCodes:
         assert rc == EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert "--threshold" in err and "1.5" in err
+
+    def test_divergence_exits_1_naming_the_op_epoch_and_batch(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "boost.csv"
+        run(["gen-synthetic", "--samples", 200, "--out-file", data])
+        network_utilities = T.network_utilities
+
+        def diverging(mc):
+            utilities, steps = network_utilities(mc), []
+
+            def forward(batch, params, training=False, rng=None):
+                u = utilities(batch, params, training, rng)
+                steps.append(training)
+                if training and steps.count(True) == 3:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        return u * Tensor(np.full(u.shape, np.inf))
+                return u
+
+            return forward
+
+        monkeypatch.setattr(T, "network_utilities", diverging)
+        rc = run(["train", "--task", "sequential", "--data", data, "--out", tmp_path / "runs",
+                  "--epochs", 1, "--batch-size", 32, "--hidden-dim", 8, "--heads", 2])
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: training diverged: non-finite values produced by 'mul' at epoch 0, batch 2\n"
+        )
 
     def test_multi_task_on_sequential_data_is_bad_input(self, tmp_path, capsys):
         data = tmp_path / "boost.csv"

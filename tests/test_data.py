@@ -561,17 +561,32 @@ def test_pad_batch_matches_per_row_padding(case):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_catalog_and_batch(), st.integers(1, 9), st.integers(0, 2**16))
 def test_gathered_batches_match_per_row_padding(case, batch_size, seed):
-    # the rows of one kind make a dataset; make_batches gathers every batch,
-    # a random subset of its rows in random order, from the dataset's index,
-    # whose keys number the distinct rows of the dataset and of every batch
+    # the rows of one kind make a dataset; make_batches gathers the distinct
+    # rows of every batch, a random subset of its rows in random order, from
+    # the dataset's index, whose keys number the distinct rows of the dataset
+    # and of every batch
     catalog, observations = case
     kind = observations[0].kind
     ds = D.ChoiceDataset(catalog, [o for o in observations if o.kind == kind], kind)
     np.testing.assert_array_equal(ds._rows.key, _reference_keys(ds.observations))
     order = np.random.default_rng(seed).permutation(len(ds))
     batches = D.make_batches(ds, batch_size, np.random.default_rng(seed), shuffle=True)
-    for start, batch in zip(range(0, len(ds), batch_size), batches, strict=True):
+    for start, counted in zip(range(0, len(ds), batch_size), batches, strict=True):
         taken = order[start : start + batch_size]
         rows = [ds.observations[i] for i in taken]
-        _assert_same_batch(batch, _reference_pad_batch(catalog, rows))
-        np.testing.assert_array_equal(D.renumber(ds._rows.key[taken])[0], _reference_keys(rows))
+        keys = _reference_keys(rows)
+        np.testing.assert_array_equal(D.renumber(ds._rows.key[taken])[0], keys)
+        # the batch holds the first row of each key, and counts its rows'
+        # choices or basket members by key
+        firsts = [keys.index(k) for k in range(max(keys) + 1)]
+        _assert_same_batch(counted.batch, _reference_pad_batch(catalog, [rows[b] for b in firsts]))
+        np.testing.assert_array_equal(counted.rows, np.bincount(keys))
+        assert counted.size == len(rows)
+        every_row = _reference_pad_batch(catalog, rows)
+        chosen = np.zeros(counted.batch.cand_mask.shape)
+        for b, k in enumerate(keys):
+            if every_row.labels is not None:
+                chosen[k, every_row.labels[b]] += 1
+            else:
+                chosen[k] += every_row.label_mask[b]
+        np.testing.assert_array_equal(counted.chosen, chosen)
