@@ -135,6 +135,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.task == "multi":
+        ignored = ["--candidates"] if args.candidates is not None else []
+    else:
+        ignored = [flag for flag, given in (
+            ("--size", args.size is not None), ("--method sample", args.method == "sample")
+        ) if given]
+    if ignored:
+        raise ValueError(f"--task {args.task} does not use {' or '.join(ignored)}")
     params, config = M.load_checkpoint(args.checkpoint)
     catalog, S, C = _catalog_and_sets(args, config)
     if args.task == "multi":

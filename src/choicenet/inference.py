@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import compress
 
@@ -34,17 +37,66 @@ def _obs_batch(catalog: ItemCatalog, C, S, context=None) -> PaddedBatch:
     return pad_batch(catalog, [obs])
 
 
-def _candidate_probs(params, config, catalog: ItemCatalog, C, S, context=None, cache=None):
-    """(sorted candidate items, P(i | C, S)), scored against ``cache``, the
-    encoding of ``S``, if given."""
+# the most assortment encodings the memo keeps for the current model
+MEMO_ENTRIES = 32
+
+
+class _Snapshot:
+    """A model's assortment-side parameters and config as they were when it
+    was taken, and the encodings made from them, by (sorted items, padded
+    features with the context), least recently used first."""
+
+    def __init__(self, params, config):
+        self.config = copy.copy(config)
+        self.names = [k for k in params if k.startswith("assort.") or k.endswith(".cross.Wkv")]
+        self.arrays = self._arrays(params)
+        self.entries: OrderedDict[tuple, M.AssortmentCache] = OrderedDict()
+
+    def _arrays(self, params) -> list[bytes]:
+        return [params[k].data.tobytes() for k in self.names]
+
+    def holds(self, params, config) -> bool:
+        return config == self.config and self._arrays(params) == self.arrays
+
+
+_snapshot: _Snapshot | None = None
+_entries_lock = threading.Lock()
+
+
+def _assortment_encoding(params, config, batch: PaddedBatch) -> M.AssortmentCache:
+    """The encoding of the one (assortment, context) entry of ``batch``, from
+    the memo when it holds an entry encoded from the same sorted items and
+    the same padded features by the same config and assortment-side
+    parameter bytes, else encoded here and kept. Any other config or
+    parameter bytes (an optimizer step, an in-place write, another model)
+    replace the snapshot, and with it every entry; at most ``MEMO_ENTRIES``
+    entries are kept."""
+    global _snapshot
+    snap = _snapshot
+    if snap is None or not snap.holds(params, config):
+        snap = _snapshot = _Snapshot(params, config)
+    key = (tuple(batch.assort_items[0]), batch.assort_features.tobytes())
+    with _entries_lock:
+        entry = snap.entries.get(key)
+        if entry is not None:
+            snap.entries.move_to_end(key)
+            return entry
+    entry = M.encode_assortment(batch, params, config)
+    with _entries_lock:
+        snap.entries[key] = entry
+        if len(snap.entries) > MEMO_ENTRIES:
+            snap.entries.popitem(last=False)
+    return entry
+
+
+def _candidate_probs(params, config, catalog: ItemCatalog, C, S, context=None):
+    """(sorted candidate items, P(i | C, S)), scored against the memo's
+    encoding of (S, context)."""
     batch = _obs_batch(catalog, C, S, context)
+    cache = _assortment_encoding(params, config, batch)
     with no_grad():
         probs = M.forward(batch, params, config, cache=cache).probs[0]
     return sorted(C), probs[: len(C)]
-
-
-def _encode_assortment(params, config, catalog: ItemCatalog, S, context=None) -> M.AssortmentCache:
-    return M.encode_assortment(_obs_batch(catalog, S, S, context), params, config)
 
 
 def predict_sequential(params, config, catalog: ItemCatalog, C, S, context=None):
@@ -61,8 +113,9 @@ def assortment_utilities(params, config, catalog: ItemCatalog, S, context=None):
     """Raw decoder utilities u_i^S (C = S), for the threshold head."""
     S = sorted(frozenset(S))
     batch = _obs_batch(catalog, S, S, context)
+    cache = _assortment_encoding(params, config, batch)
     with no_grad():
-        u = M.forward_utilities(batch, params, config).data[0]
+        u = M.forward_utilities(batch, params, config, cache=cache).data[0]
     return S, u[: len(S)]
 
 
@@ -95,8 +148,8 @@ def generate_basket(
     """Iteratively choose from a shrinking candidate set starting at C = S.
 
     ``stop`` is ("fixed_size", k) or ("stop_item", item_index). Greedy ties
-    break toward the lowest item index. S is encoded once; each step scores
-    its candidate set against that encoding.
+    break toward the lowest item index. Each step scores its candidate set
+    against the memo's encoding of S, so S is encoded at most once.
     """
     S = frozenset(S)
     kind, arg = stop
@@ -111,11 +164,10 @@ def generate_basket(
     if method == "sample" and rng is None:
         raise ValueError("sampling requires an rng")
 
-    cache = _encode_assortment(params, config, catalog, S, context)
     chosen: list[tuple[int, float]] = []
     C = set(S)
     while C:
-        items, probs = _candidate_probs(params, config, catalog, C, S, context, cache)
+        items, probs = _candidate_probs(params, config, catalog, C, S, context)
         if method == "greedy":
             pick = items[int(np.argmax(probs))]  # argmax returns first max: lowest index
         elif method == "sample":
@@ -147,25 +199,24 @@ def sample_baskets(
 ) -> list[frozenset]:
     """Monte Carlo draw of ``n_samples`` fixed-size baskets from one assortment.
 
-    Matches ``generate_basket(method="sample")`` in distribution, but encodes
-    S once and shares a single forward pass across all samples in the same
-    candidate state, so large sample counts are cheap.
+    Matches ``generate_basket(method="sample")`` in distribution, but shares
+    a single forward pass across all samples in the same candidate state, so
+    large sample counts are cheap.
     """
     S = frozenset(S)
     if not 1 <= size <= len(S):
         raise ValueError(f"fixed size {size} invalid for |S|={len(S)}")
-    encoded = _encode_assortment(params, config, catalog, S, context)
     states = [frozenset(S)] * n_samples
     baskets = [set() for _ in range(n_samples)]
-    cache: dict[frozenset, tuple[list[int], np.ndarray]] = {}
+    scored: dict[frozenset, tuple[list[int], np.ndarray]] = {}
     for _ in range(size):
         groups: dict[frozenset, list[int]] = {}
         for idx, C in enumerate(states):
             groups.setdefault(C, []).append(idx)
         for C, members in groups.items():
-            if C not in cache:
-                cache[C] = _candidate_probs(params, config, catalog, C, S, context, encoded)
-            items, probs = cache[C]
+            if C not in scored:
+                scored[C] = _candidate_probs(params, config, catalog, C, S, context)
+            items, probs = scored[C]
             cum = np.cumsum(probs / probs.sum())
             picks = np.searchsorted(cum, rng.random(len(members)))
             for idx, k in zip(members, picks):
@@ -324,7 +375,7 @@ def _write_heatmap_svg(path, matrix: np.ndarray, names: list[str]) -> None:
 def export_latent_features(params, config, catalog: ItemCatalog, S, out_path) -> None:
     """Assortment-encoder latent rows for the given assortment, as CSV."""
     items = sorted(frozenset(S))
-    latents = _encode_assortment(params, config, catalog, S).latents.data[0]
+    latents = _assortment_encoding(params, config, _obs_batch(catalog, S, S)).latents.data[0]
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["item"] + [f"z_{k}" for k in range(latents.shape[1])])

@@ -117,8 +117,11 @@ class Adam:
         params = list(self.params.values())
         g = np.concatenate([p.grad.ravel() for p in params])
         if not np.isfinite(g).all():
-            bad = next(k for k, p in self.params.items() if not np.isfinite(p.grad).all())
-            raise DivergedError(f"non-finite gradient in parameter {bad!r}")
+            bad = [k for k, p in self.params.items() if not np.isfinite(p.grad).all()]
+            shown = ", ".join(map(repr, bad[:3])) + (", ..." if len(bad) > 3 else "")
+            raise DivergedError(
+                f"non-finite gradient in {len(bad)} of {len(params)} parameters ({shown})"
+            )
         self.t += 1
         if self.weight_decay:
             w = np.concatenate([p.data.ravel() for p in params])

@@ -333,6 +333,25 @@ class TestExitCodes:
         assert rc == EXIT_BAD_INPUT
         assert "task multi needs basket data, got sequential" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "task, extra, named",
+        [("multi", ["--candidates", "a", "--size", 1], "--candidates"),
+         ("single", ["--size", 2], "--size"),
+         ("sequential", ["--method", "sample"], "--method sample"),
+         ("sequential", ["--size", 1, "--method", "sample"], "--size or --method sample")],
+    )
+    def test_predict_refuses_a_flag_its_task_ignores(
+        self, tmp_path, capsys, monkeypatch, task, extra, named
+    ):
+        def must_not_load(path):
+            raise AssertionError("loaded the checkpoint despite an ignored flag")
+
+        monkeypatch.setattr(M, "load_checkpoint", must_not_load)
+        rc = run(["predict", "--task", task, "--checkpoint", tmp_path / "c.npz",
+                  "--items", "a;b", "--assortment", "a;b", *extra])
+        assert rc == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"error: --task {task} does not use {named}\n"
+
     def test_bad_item_name_is_bad_input(self, tmp_path):
         ckpt = tmp_path / "c.npz"
         from choicenet import model as M

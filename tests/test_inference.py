@@ -1,5 +1,11 @@
 import csv
+import dataclasses
+import sys
+import threading
+from unittest import mock
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -8,7 +14,7 @@ from choicenet import inference as I
 from choicenet import model as M
 from choicenet import oracle as O
 from choicenet import training as T
-from choicenet.tensor import no_grad
+from choicenet.tensor import ONE_PLUS_RELU, SOFTMAX, no_grad
 
 
 @pytest.fixture(scope="module")
@@ -456,7 +462,246 @@ class TestEncodeOnce:
         params, cfg, catalog = net6
         S = {0, 1, 2, 3, 4, 5}
         _, states = _reference_samples(params, cfg, catalog, S, 200, 3, np.random.default_rng(0))
+        I._snapshot = None  # the reference run filled the memo
         counted.update(encoder=0, forward=0)
         I.sample_baskets(params, cfg, catalog, S, 200, 3, np.random.default_rng(0))
         assert counted == {"encoder": 1, "forward": states}
         assert states > 3
+
+
+def _fresh(params, cfg, catalog, C, S, context=None):
+    """The probabilities and utilities of the (C, S, context) query from a
+    forward that encodes S itself, without the memo."""
+    batch = I._obs_batch(catalog, C, S, context)
+    with no_grad():
+        res = M.forward(batch, params, cfg)
+    return res.probs[0][: len(C)], res.utilities.data[0][: len(C)]
+
+
+def _fresh_greedy(params, cfg, catalog, S, size, context=None):
+    """A greedy fixed-size basket's trace, each step through ``_fresh``."""
+    trace, C = [], set(S)
+    for _ in range(size):
+        probs, _ = _fresh(params, cfg, catalog, C, S, context)
+        items = sorted(C)
+        k = int(np.argmax(probs))
+        trace.append((items[k], float(probs[k])))
+        C.remove(items[k])
+    return trace
+
+
+class _EncodeSpy:
+    """Counts the assortment encoder's calls while it is installed."""
+
+    def __init__(self):
+        self.calls = 0
+        self._encoder = M._assortment_encoder
+
+    def __call__(self, *a, **k):
+        self.calls += 1
+        return self._encoder(*a, **k)
+
+    def count(self, fn, *a, **k):
+        """``fn``'s result and how many encodes it ran."""
+        before = self.calls
+        return fn(*a, **k), self.calls - before
+
+
+@st.composite
+def _memo_cases(draw):
+    n = draw(st.integers(2, 5))
+    k = draw(st.sampled_from([0, 2]))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    names = [f"i{j}" for j in range(n)]
+    if draw(st.booleans()):
+        catalog = D.ItemCatalog.one_hot(names)
+    else:
+        catalog = D.ItemCatalog(names, rng.normal(size=(n, 3)))
+    heads = draw(st.sampled_from([1, 2]))
+    cfg = M.TCNetConfig(
+        input_dim=catalog.feature_dim + k, hidden_dim=4 * heads, n_heads=heads,
+        n_layers=draw(st.integers(1, 2)), seed=seed,
+        attention_activation=draw(st.sampled_from([SOFTMAX, ONE_PLUS_RELU])),
+        use_layer_norm=draw(st.booleans()), decoder_dims=draw(st.sampled_from([(), (4,)])),
+    )
+    subset = st.sets(st.integers(0, n - 1), min_size=1).map(frozenset)
+    # small pools, so that queries repeat assortments and contexts
+    pool = draw(st.lists(subset, min_size=1, max_size=3))
+    contexts = [None] if k == 0 else [tuple(rng.normal(size=k)) for _ in range(2)]
+    queries = []
+    for _ in range(draw(st.integers(1, 8))):
+        S = draw(st.sampled_from(pool))
+        C = draw(st.sets(st.sampled_from(sorted(S)), min_size=1).map(frozenset))
+        kind = draw(st.sampled_from(["predict", "utilities", "threshold", "generate"]))
+        queries.append((kind, C, S, draw(st.sampled_from(contexts))))
+    return M.init_params(cfg, rng), cfg, catalog, queries
+
+
+class TestAssortmentMemo:
+    """Single-query serving takes each (assortment, context) encoding from a
+    memo for the current model, and gives what encoding it afresh gives."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        spy = _EncodeSpy()
+        monkeypatch.setattr(M, "_assortment_encoder", spy)
+        return spy
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_memo_cases())
+    def test_every_single_query_output_equals_a_memo_free_forward(self, case):
+        params, cfg, catalog, queries = case
+        I._snapshot = None
+        spy = _EncodeSpy()
+        encoded = set()
+        with mock.patch.object(M, "_assortment_encoder", spy):
+            for kind, C, S, ctx in queries:
+                if kind == "predict":
+                    res, n = spy.count(I.predict_sequential, params, cfg, catalog, C, S, ctx)
+                    assert res[0] == sorted(C)
+                    got, want = res[1], _fresh(params, cfg, catalog, C, S, ctx)[0]
+                elif kind == "utilities":
+                    res, n = spy.count(I.assortment_utilities, params, cfg, catalog, S, ctx)
+                    assert res[0] == sorted(S)
+                    got, want = res[1], _fresh(params, cfg, catalog, S, S, ctx)[1]
+                elif kind == "threshold":
+                    got, n = spy.count(I.predict_threshold, params, cfg, catalog, S, 0.5, ctx)
+                    sig = 1.0 / (1.0 + np.exp(-_fresh(params, cfg, catalog, S, S, ctx)[1]))
+                    want = frozenset(i for i, v in zip(sorted(S), sig) if v > 0.5)
+                else:
+                    pred, n = spy.count(
+                        I.generate_basket, params, cfg, catalog, S, stop=("fixed_size", len(C)),
+                        context=ctx,
+                    )
+                    got, want = pred.trace, _fresh_greedy(params, cfg, catalog, S, len(C), ctx)
+                if isinstance(want, np.ndarray):
+                    assert np.array_equal(got, want)
+                else:
+                    assert got == want
+                # the first query of an (assortment, context) encodes it, no other does
+                assert n == ((S, ctx) not in encoded)
+                encoded.add((S, ctx))
+
+    def test_an_adam_step_encodes_again(self, small_net, spy):
+        _, cfg, catalog = small_net
+        params = M.init_params(cfg)
+        I.predict_sequential(params, cfg, catalog, {0, 1}, {0, 1, 2})
+        rng = np.random.default_rng(0)
+        for p in params.values():
+            p.grad = rng.normal(size=p.shape)
+        T.Adam(params, lr=0.01).step()
+        self.assert_fresh(spy, params, cfg, catalog, {0, 1}, {0, 1, 2})
+
+    @pytest.mark.parametrize("name", ["assort.embed.W1", "assort.0.ffn.b2", "cand.0.cross.Wkv"])
+    def test_an_in_place_write_encodes_again(self, small_net, spy, name):
+        _, cfg, catalog = small_net
+        params = M.init_params(cfg)
+        I.predict_sequential(params, cfg, catalog, {0, 1}, {0, 1, 2})
+        params[name].data[...] += 0.25
+        self.assert_fresh(spy, params, cfg, catalog, {0, 1}, {0, 1, 2})
+
+    def test_another_params_dict_encodes_again(self, small_net, spy):
+        params, cfg, catalog = small_net
+        I.predict_sequential(params, cfg, catalog, {0, 1}, {0, 1, 2})
+        other = M.init_params(cfg, np.random.default_rng(99))
+        self.assert_fresh(spy, other, cfg, catalog, {0, 1}, {0, 1, 2})
+        self.assert_fresh(spy, params, cfg, catalog, {0, 1}, {0, 1, 2})
+
+    def test_another_attention_activation_encodes_again(self, small_net, spy):
+        params, cfg, catalog = small_net
+        I.predict_sequential(params, cfg, catalog, {0, 1}, {0, 1, 2})
+        other = dataclasses.replace(cfg, attention_activation=ONE_PLUS_RELU)
+        self.assert_fresh(spy, params, other, catalog, {0, 1}, {0, 1, 2})
+        # a config changed in place is another config too
+        mutable = dataclasses.replace(cfg)
+        self.assert_fresh(spy, params, mutable, catalog, {0, 1}, {0, 1, 2})
+        mutable.attention_activation = ONE_PLUS_RELU
+        self.assert_fresh(spy, params, mutable, catalog, {0, 1}, {0, 1, 2})
+
+    def test_a_catalog_with_other_features_encodes_again(self, small_net, spy):
+        params, cfg, catalog = small_net
+        I.predict_sequential(params, cfg, catalog, {0, 1}, {0, 1, 2})
+        other = D.ItemCatalog(catalog.names, catalog.features * 2.0)
+        self.assert_fresh(spy, params, cfg, other, {0, 1}, {0, 1, 2})
+
+    def test_another_context_encodes_again(self, spy):
+        rng = np.random.default_rng(4)
+        catalog = D.ItemCatalog([f"i{k}" for k in range(4)], rng.normal(size=(4, 2)))
+        cfg = M.TCNetConfig(input_dim=3, hidden_dim=8, n_heads=2, seed=1)
+        params = M.init_params(cfg)
+        I.predict_sequential(params, cfg, catalog, {0, 1}, {0, 1, 2}, (0.5,))
+        self.assert_fresh(spy, params, cfg, catalog, {0, 1}, {0, 1, 2}, (-0.5,))
+        # and the first context is still kept
+        _, n = spy.count(I.predict_sequential, params, cfg, catalog, {1, 2}, {0, 1, 2}, (0.5,))
+        assert n == 0
+
+    def assert_fresh(self, spy, params, cfg, catalog, C, S, context=None):
+        (_, got), n = spy.count(I.predict_sequential, params, cfg, catalog, C, S, context)
+        assert n == 1
+        assert np.array_equal(got, _fresh(params, cfg, catalog, C, S, context)[0])
+
+    def test_the_memo_keeps_at_most_its_bound(self, spy):
+        catalog = D.ItemCatalog.one_hot(["a", "b", "c"])
+        cfg = M.TCNetConfig(input_dim=4, hidden_dim=4, n_heads=1, seed=2)
+        params = M.init_params(cfg)
+        contexts = [(float(k),) for k in range(I.MEMO_ENTRIES + 5)]
+        for ctx in contexts:
+            I.predict_sequential(params, cfg, catalog, {0}, {0, 1}, ctx)
+        assert len(I._snapshot.entries) == I.MEMO_ENTRIES
+        assert spy.calls == len(contexts)
+        # the least recently used entry goes first
+        oldest = contexts[-I.MEMO_ENTRIES]
+        for ctx, encodes in ((oldest, 0), (contexts[0], 1), (oldest, 0)):
+            _, n = spy.count(I.predict_sequential, params, cfg, catalog, {1}, {0, 1}, ctx)
+            assert n == encodes
+        assert len(I._snapshot.entries) == I.MEMO_ENTRIES
+
+    def test_threads_serving_two_models_get_their_own_outputs(self, small_net):
+        _, cfg, catalog = small_net
+        models = [M.init_params(cfg, np.random.default_rng(s)) for s in (1, 2)]
+        S, C = {0, 1, 2, 3}, {1, 3}
+        want = [_fresh(params, cfg, catalog, C, S)[0] for params in models]
+        assert not np.array_equal(*want)
+        got = [[] for _ in range(4)]
+
+        def serve(t):
+            for _ in range(100):
+                got[t].append(I.predict_sequential(models[t % 2], cfg, catalog, C, S)[1])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=serve, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for t, outputs in enumerate(got):
+            assert len(outputs) == 100
+            assert all(np.array_equal(p, want[t % 2]) for p in outputs)
+
+    def test_a_repeated_basket_encodes_nothing(self, small_net, spy, tmp_path):
+        params, cfg, catalog = small_net
+        S = {0, 1, 2, 3}
+        first, n = spy.count(I.generate_basket, params, cfg, catalog, S, stop=("fixed_size", 3))
+        assert n == 1
+        again, n = spy.count(I.generate_basket, params, cfg, catalog, S, stop=("fixed_size", 3))
+        assert n == 0
+        assert again.trace == first.trace
+        # the latent export reads the same encoding
+        _, n = spy.count(I.export_latent_features, params, cfg, catalog, S, tmp_path / "z.csv")
+        assert n == 0
+        with open(tmp_path / "z.csv") as fh:
+            rows = [[float(v) for v in r[1:]] for r in list(csv.reader(fh))[1:]]
+        latents = M.encode_assortment(I._obs_batch(catalog, S, S), params, cfg).latents.data[0]
+        np.testing.assert_allclose(rows, latents, rtol=1e-9, atol=0)
+
+    def test_attention_capture_runs_its_own_forward(self, small_net, spy):
+        params, cfg, catalog = small_net
+        I.predict_sequential(params, cfg, catalog, {0, 1}, {0, 1, 2})
+        _, n = spy.count(I.capture_attention, params, cfg, catalog, {0, 1}, {0, 1, 2})
+        assert n == 1
