@@ -15,6 +15,7 @@ testing once, in the fixed order of ``reduce_split``.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,6 +43,9 @@ class ItemCatalog:
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.shape[0] != len(self.names):
             raise DataError("feature rows must match item count")
+        finite = np.isfinite(self.features).all(axis=1)
+        if not finite.all():
+            raise DataError(f"item {self.names[finite.argmin()]!r} has non-finite features")
         self._index = {name: i for i, name in enumerate(self.names)}
         # the feature rows and a zero row at index n, the padding index
         self._padded_features = np.vstack([self.features, np.zeros(self.features.shape[1])])
@@ -92,15 +96,23 @@ class ChoiceObservation:
         for i in self.assortment:
             if not 0 <= i < n_items:
                 raise DataError(f"item index {i} outside catalog")
+        if self.context is not None and not all(map(math.isfinite, self.context)):
+            raise DataError(f"context {self.context} is not finite")
         if self.kind == SINGLE:
+            if self.candidates is not None or self.basket is not None:
+                raise DataError("a single observation takes no candidates or basket")
             if self.choice not in self.assortment:
                 raise DataError(f"choice {self.choice} not in assortment")
         elif self.kind == SEQUENTIAL:
+            if self.basket is not None:
+                raise DataError("a sequential observation takes no basket")
             if self.candidates is None or not self.candidates <= self.assortment:
                 raise DataError("candidates must be a subset of the assortment")
             if self.choice not in self.candidates:
                 raise DataError(f"choice {self.choice} not in candidates")
         elif self.kind == MULTI:
+            if self.candidates is not None or self.choice is not None:
+                raise DataError("a multi observation takes no candidates or choice")
             if not self.basket:
                 raise DataError("multi observation needs a nonempty basket")
             if not self.basket <= self.assortment:
@@ -255,7 +267,10 @@ def _load_item_features(path, names: list[str]) -> ItemCatalog:
     if missing:
         raise DataError(f"{path}: no features for items {missing[:5]}")
     features = np.array([feats_by_name[n] for n in names])
-    return ItemCatalog(names, features)
+    try:
+        return ItemCatalog(names, features)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def save_csv(ds: ChoiceDataset, path) -> None:
@@ -540,14 +555,11 @@ class PaddedBatch:
     its rows, numbered in order of first appearance, each padded to the
     largest assortment.
 
-    The candidate side (``cand_features``, ``cand_mask``, ``cand_items``,
-    ``labels``, ``label_mask``) has B rows; the assortment side
-    (``assort_features``, ``assort_mask``, ``assort_items``) has G entries,
-    and ``assort_index`` gives each row's entry. Padded positions carry zero
-    features and False masks. ``labels`` is each row's chosen candidate
-    position and ``label_mask`` flags each candidate position in its row's
-    basket; each is None when the observations carry no choices or baskets.
-    The item lists are shared with the row index the batch was gathered from
+    The candidate side (``cand_features``, ``cand_mask``, ``cand_items``)
+    has B rows; the assortment side (``assort_features``, ``assort_mask``,
+    ``assort_items``) has G entries, and ``assort_index`` gives each row's
+    entry. Padded positions carry zero features and False masks. The item
+    lists are shared with the row index the batch was gathered from
     (``make_batches``), so they are read, never changed.
     """
 
@@ -555,8 +567,6 @@ class PaddedBatch:
     assort_features: np.ndarray  # G x Smax x d
     cand_mask: np.ndarray  # B x Cmax bool
     assort_mask: np.ndarray  # G x Smax bool
-    labels: np.ndarray | None  # B int, position in candidate axis
-    label_mask: np.ndarray | None  # B x Cmax bool (multi membership)
     cand_items: list[list[int]]  # B
     assort_items: list[list[int]]  # G
     assort_index: np.ndarray  # B int, each row's entry
@@ -635,9 +645,8 @@ class _Rows:
 
     Each row has its sorted candidate items (``cand_items``, and as a row of
     ``cand`` padded with the item count n), its context, its label position
-    (``labels``, -1 for a row without a choice, None when no row has one)
-    and its basket mask over ``cand`` (``baskets``, None when no row has a
-    basket; ``has_basket`` flags the rows that have one). ``entry`` numbers
+    (``labels``) and its basket mask over ``cand`` (``baskets``); each of
+    the two is None unless every row has one. ``entry`` numbers
     the rows' distinct (assortment, context) pairs in order of first
     appearance, ``firsts`` holds each entry's first row, and ``assort_items``
     and ``assort`` each entry's sorted items. ``key`` numbers the distinct
@@ -651,7 +660,6 @@ class _Rows:
     contexts: np.ndarray | None  # R x k
     labels: np.ndarray | None  # R int
     baskets: np.ndarray | None  # R x width bool
-    has_basket: np.ndarray | None  # R bool
     entry: np.ndarray  # R int
     firsts: list[int] | np.ndarray  # E
     assort_items: list[list[int]]  # E
@@ -671,22 +679,15 @@ class _Rows:
         key = np.array(key)
         cand = _index_matrix(distinct_items, n).take(key, axis=0)
         assort_items = [sorted(observations[b].assortment) for b in firsts]
-        labels = baskets = has_basket = None
-        if any(o.choice is not None for o in observations):
-            labels = np.array([
-                -1 if o.choice is None else c.index(o.choice)
-                for c, o in zip(cand_items, observations)
-            ])
-        if any(o.basket is not None for o in observations):
-            has_basket = np.array([o.basket is not None for o in observations])
+        labels = baskets = None
+        if all(o.choice is not None for o in observations):
+            labels = np.array([c.index(o.choice) for c, o in zip(cand_items, observations)])
+        if all(o.basket is not None for o in observations):
             baskets = np.zeros(cand.shape, dtype=bool)
-            baskets[cand != n] = [
-                o.basket is not None and i in o.basket
-                for c, o in zip(cand_items, observations)
-                for i in c
-            ]
+            members = [i in o.basket for c, o in zip(cand_items, observations) for i in c]
+            baskets[cand != n] = members
         return cls(
-            catalog, cand_items, cand, contexts, labels, baskets, has_basket,
+            catalog, cand_items, cand, contexts, labels, baskets,
             np.array(entry), firsts, assort_items, _index_matrix(assort_items, n), key,
         )
 
@@ -717,7 +718,6 @@ class _Rows:
             None if self.contexts is None else self.contexts[rows],
             None if self.labels is None else self.labels[rows],
             None if self.baskets is None else self.baskets[rows, :width],
-            None if self.has_basket is None else self.has_basket[rows],
             entry,
             firsts,
             [self.assort_items[e] for e in entries],
@@ -730,15 +730,21 @@ class _Rows:
         fc, mc = _features(self.catalog, self.cand, self.contexts)
         entry_contexts = None if self.contexts is None else self.contexts[self.firsts]
         fs, ms = _features(self.catalog, self.assort, entry_contexts)
-        labels = self.labels
-        if labels is not None and (labels < 0).any():
-            labels = None
-        baskets = self.baskets
-        if baskets is not None and not self.has_basket.all():
-            baskets = None
-        return PaddedBatch(
-            fc, fs, mc, ms, labels, baskets, self.cand_items, self.assort_items, self.entry
-        )
+        return PaddedBatch(fc, fs, mc, ms, self.cand_items, self.assort_items, self.entry)
+
+    def chosen(self, rows, index: np.ndarray, shape: tuple) -> np.ndarray | None:
+        """The ``shape`` count matrix W of the rows ``rows`` selects, each
+        numbered ``index``: W[index[r], pos] counts the rows r that chose
+        position ``pos``, by their label when every row has a choice, else
+        by their basket members when every row has a basket (else None)."""
+        if self.labels is not None:
+            cells = index * shape[1] + self.labels[rows]
+        elif self.baskets is not None:
+            r, pos = np.nonzero(self.baskets[rows, : shape[1]])
+            cells = index[r] * shape[1] + pos
+        else:
+            return None
+        return np.bincount(cells, minlength=shape[0] * shape[1]).reshape(shape).astype(np.float64)
 
 
 def pad_batch(catalog: ItemCatalog, observations: list[ChoiceObservation]) -> PaddedBatch:
@@ -791,11 +797,5 @@ def make_batches(
         taken = order[start : start + batch_size]
         index, firsts = renumber(rows.key[taken])
         distinct = rows.take(taken[firsts])
-        chosen = np.zeros(distinct.cand.shape)
-        if rows.labels is not None and (rows.labels[taken] >= 0).all():
-            np.add.at(chosen, (index, rows.labels[taken]), 1.0)
-        elif rows.baskets is not None and rows.has_basket[taken].all():
-            np.add.at(chosen, index, rows.baskets[taken, : chosen.shape[1]])
-        else:
-            chosen = None
+        chosen = rows.chosen(taken, index, distinct.cand.shape)
         yield CountedBatch(distinct.batch(), np.bincount(index), chosen)

@@ -488,6 +488,9 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], TCNetConfig]:
     if any(mismatches.values()):
         found = "; ".join(f"{kind} {_first(names)}" for kind, names in mismatches.items() if names)
         raise ValueError(f"checkpoint parameters do not match config: {found}")
+    bad = [k for k, p in params.items() if not np.isfinite(p.data).all()]
+    if bad:
+        raise ValueError(f"checkpoint parameters are not finite: {_first(bad)}")
     return params, config
 
 

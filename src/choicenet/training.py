@@ -16,6 +16,10 @@ LOG_FLOOR = 1e-12
 LR_DECAY = 0.95  # learning-rate factor every ``TrainConfig.decay_every`` epochs
 # expanded-sample count past which epochs are capped at 50
 DESK_SCALE_LIMIT = 50_000
+# grid_search's default grids
+LR_GRID = (0.001, 0.0005, 0.0001)
+HIDDEN_GRID = (32, 128, 256)
+HEADS_GRID = (4, 8, 16, 32)
 
 
 class DivergedError(RuntimeError):
@@ -67,6 +71,18 @@ def independent_ce_loss(
     pos = s.log(floor=LOG_FLOOR) * Tensor(y)
     neg = (s.scale(-1.0).shift(1.0)).log(floor=LOG_FLOOR) * Tensor(v - y)
     return (pos + neg).sum().scale(-1.0 / v.sum())
+
+
+def objective_loss(
+    objective: str, u: Tensor, mask, rows, chosen, stats: LossStats | None = None
+) -> Tensor:
+    """The loss of ``objective`` (``ce_loss`` or ``independent_ce_loss``)
+    on the utilities ``u`` and candidate mask ``mask`` of D distinct rows,
+    with their row counts ``rows`` and count matrix ``chosen`` (as in a
+    ``data.CountedBatch``); the mean is over the rows they stand for."""
+    if objective == "ce":
+        return ce_loss(u.masked_softmax(mask), chosen, stats)
+    return independent_ce_loss(u, chosen, rows[:, None] * mask)
 
 
 def uniform_ce(batch_candidate_counts) -> float:
@@ -165,10 +181,6 @@ class TrainConfig:
     batch_size: int = 256
     seed: int = 0
     weight_decay: float = 0.0
-    # grids for grid_search
-    lr_grid: tuple = (0.001, 0.0005, 0.0001)
-    hidden_grid: tuple = (32, 128, 256)
-    heads_grid: tuple = (4, 8, 16, 32)
 
     def __post_init__(self):
         # 0 is allowed: it trains nothing, which tests use to check the loop
@@ -182,9 +194,6 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.decay_every < 1:
             raise ValueError(f"decay_every must be >= 1, got {self.decay_every}")
-        for grid in (self.lr_grid, self.hidden_grid, self.heads_grid):
-            if not grid:
-                raise ValueError("grids must be nonempty")
 
     def lr_at(self, epoch: int) -> float:
         return self.initial_lr * LR_DECAY ** (epoch // self.decay_every)
@@ -271,7 +280,7 @@ def choice_nll(ds: D.ChoiceDataset, params, utilities, batch_size: int = 256) ->
     """-log P(choice | C, S) per row of ``ds``, its distinct row's
     ``choice_probs`` at its choice, floored at ``LOG_FLOOR``."""
     labels = ds._rows.labels
-    if labels is None or (labels < 0).any():
+    if labels is None:
         raise D.DataError(f"ce needs a choice in every row; the dataset is {ds.kind}")
     index, probs = dataset_utilities(ds, params, utilities, batch_size, choice_probs)
     return -np.log(np.maximum(probs[index, labels], LOG_FLOOR))
@@ -280,31 +289,21 @@ def choice_nll(ds: D.ChoiceDataset, params, utilities, batch_size: int = 256) ->
 def dataset_loss(
     ds: D.ChoiceDataset, params, utilities, objective: str = "ce", batch_size: int = 256
 ) -> float:
-    """Mean loss of a model over ``ds``: per observation for "ce", per valid
-    assortment position for "binary_ce". Each distinct row of ``ds`` is
-    scored once (``dataset_utilities``); every row adds its own loss. The
-    losses are summed ``batch_size`` rows at a time and the sums added in
-    row order."""
-    if objective == "ce":
-        nll = choice_nll(ds, params, utilities, batch_size)
-        total = 0.0
-        for start in range(0, len(nll), batch_size):
-            total += nll[start : start + batch_size].sum()
-        return total / len(nll)
+    """Mean loss of a model over ``ds``, per observation for "ce", per valid
+    assortment position for "binary_ce": the training step's loss
+    (``objective_loss``) with the whole dataset as one counted batch, each
+    distinct row scored once (``dataset_utilities``)."""
     rows = ds._rows
-    if rows.baskets is None or not rows.has_basket.all():
-        raise D.DataError(f"binary_ce needs a basket in every row; the dataset is {ds.kind}")
-    index, probs = dataset_utilities(ds, params, utilities, batch_size, basket_probs)
-    total, count = 0.0, 0
-    for start in range(0, len(index), batch_size):
-        sl = slice(start, start + batch_size)
-        s = probs[index[sl]]
-        y = rows.baskets[sl].astype(float)
-        v = rows.cand[sl] != ds.catalog.item_count
-        bce = -(y * np.log(np.maximum(s, LOG_FLOOR)) + (1 - y) * np.log(np.maximum(1 - s, LOG_FLOOR)))
-        total += bce[v].sum()
-        count += int(v.sum())
-    return total / count
+    if (rows.labels if objective == "ce" else rows.baskets) is None:
+        what = "a choice" if objective == "ce" else "a basket"
+        raise D.DataError(f"{objective} needs {what} in every row; the dataset is {ds.kind}")
+    index, u = dataset_utilities(ds, params, utilities, batch_size, lambda batch, u: u.data)
+    last = np.empty(len(u), dtype=np.intp)
+    last[index] = np.arange(len(index))  # a row of each distinct row, for its mask
+    mask = rows.cand[last] != ds.catalog.item_count
+    chosen = rows.chosen(slice(None), index, u.shape)
+    with no_grad():
+        return objective_loss(objective, Tensor(u), mask, np.bincount(index), chosen).item()
 
 
 def dataset_ce(
@@ -384,11 +383,9 @@ def fit(
             try:
                 opt.zero_grad()
                 u = utilities(batch, params, True, rng)
-                if objective == "ce":
-                    loss = ce_loss(u.masked_softmax(batch.cand_mask), counted.chosen, stats)
-                else:
-                    valid = counted.rows[:, None] * batch.cand_mask
-                    loss = independent_ce_loss(u, counted.chosen, valid)
+                loss = objective_loss(
+                    objective, u, batch.cand_mask, counted.rows, counted.chosen, stats
+                )
                 loss.backward()
                 opt.step()
             except (NonFiniteError, DivergedError) as exc:
@@ -429,16 +426,15 @@ def grid_search(
     model_config: M.TCNetConfig,
     splits,
     train_config: TrainConfig,
-    hidden_grid=None,
-    heads_grid=None,
-    lr_grid=None,
+    hidden_grid=HIDDEN_GRID,
+    heads_grid=HEADS_GRID,
+    lr_grid=LR_GRID,
     objective: str = "ce",
 ):
     """Train every grid cell; return (best model config, best train config,
     best params, best report) by validation objective."""
-    hidden_grid = hidden_grid or train_config.hidden_grid
-    heads_grid = heads_grid or train_config.heads_grid
-    lr_grid = lr_grid or train_config.lr_grid
+    if not (hidden_grid and heads_grid and lr_grid):
+        raise ValueError("hidden_grid, heads_grid and lr_grid must be nonempty")
     best = None
     failures = []
     for dv in hidden_grid:

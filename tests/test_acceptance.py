@@ -65,7 +65,8 @@ def test_02_gradient_check_every_parameter():
         decoder_dims=(6,),
     )
     params = M.init_params(cfg)
-    onehot = np.eye(batch.cand_mask.shape[1])[batch.labels]
+    labels = [sorted(o.candidates).index(o.choice) for o in obs]
+    onehot = np.eye(batch.cand_mask.shape[1])[labels]
 
     def loss_value():
         res = M.forward(batch, params, cfg)

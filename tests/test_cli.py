@@ -352,6 +352,48 @@ class TestExitCodes:
         assert rc == EXIT_BAD_INPUT
         assert capsys.readouterr().err == f"error: --task {task} does not use {named}\n"
 
+    @pytest.mark.parametrize("task, rows, named", [
+        ("multi", ["0,multi,a;b;c,,,a;b", "1,multi,a;b;c,a,,b;c"], "line 3"),
+        ("multi", ["0,multi,a;b;c,,a,a;b", "1,multi,a;b;c,,b,b;c"], "line 2"),
+        ("single", ["0,single,a;b;c,,a,", "1,single,a;b;c,b;c,b,"], "line 3"),
+    ])
+    def test_a_field_the_kind_does_not_use_is_bad_input(self, tmp_path, capsys, task, rows, named):
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(["obs_id,kind,assortment,candidates,choice,basket", *rows]))
+        rc = run(["train", "--task", task, "--data", data, "--out", tmp_path / "runs",
+                  "--epochs", 1])
+        assert rc == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert f"d.csv, {named}: a {task} observation takes no" in err
+
+    def test_non_finite_inputs_are_bad_input(self, tmp_path, capsys):
+        # a nan context cell, an infinite item feature, a non-finite parameter
+        data = tmp_path / "d.csv"
+        rows = [f"{k},single,a;b;c,,{'abc'[k % 3]},,{k / 10}" for k in range(30)]
+        rows[17] = "17,single,a;b;c,,c,,nan"
+        data.write_text("\n".join(["obs_id,kind,assortment,candidates,choice,basket,f_0", *rows]))
+        train = ["train", "--task", "single", "--data", data, "--out", tmp_path / "runs",
+                 "--epochs", 1, "--hidden-dim", 8, "--heads", 2]
+        assert run(train) == EXIT_BAD_INPUT
+        assert "d.csv, line 19: context (nan,) is not finite" in capsys.readouterr().err
+
+        data.write_text("\n".join(["obs_id,kind,assortment,candidates,choice,basket",
+                                   *(f"{k},single,a;b;c,,{'abc'[k % 3]}," for k in range(30))]))
+        feats = tmp_path / "items.csv"
+        feats.write_text("name,f_0,f_1\na,1.0,0.0\nb,0.0,inf\nc,1.0,1.0\n")
+        assert run([*train, "--item-features", feats]) == EXIT_BAD_INPUT
+        assert "items.csv: item 'b' has non-finite features" in capsys.readouterr().err
+
+        ckpt = tmp_path / "c.npz"
+        cfg = M.TCNetConfig(input_dim=3, hidden_dim=8, n_heads=2)
+        params = M.init_params(cfg)
+        params["dec.0.W"].data[0, 0] = np.nan
+        M.save_checkpoint(ckpt, params, cfg)
+        assert run(["eval", "--task", "single", "--data", data, "--checkpoint", ckpt]) == EXIT_BAD_INPUT
+        assert run(["predict", "--task", "single", "--checkpoint", ckpt,
+                    "--items", "a;b;c", "--assortment", "a;b"]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err.count("checkpoint parameters are not finite: dec.0.W") == 2
+
     def test_bad_item_name_is_bad_input(self, tmp_path):
         ckpt = tmp_path / "c.npz"
         from choicenet import model as M

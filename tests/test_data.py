@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +61,71 @@ class TestLoadCsv:
             names_b = {back.catalog.names[i] for i in b.assortment}
             assert names_a == names_b
             assert ds.catalog.names[a.choice] == back.catalog.names[b.choice]
+
+
+class TestRefusedInputs:
+    """An observation carries only the fields its kind uses, and finite
+    numbers: anything else is refused, naming the observation or line."""
+
+    S = frozenset({0, 1, 2})
+
+    @pytest.mark.parametrize("kind, fields, refused", [
+        (D.SINGLE, {"choice": 0, "candidates": frozenset({0, 1})},
+         "a single observation takes no candidates or basket"),
+        (D.SINGLE, {"choice": 0, "basket": frozenset({0})},
+         "a single observation takes no candidates or basket"),
+        (D.SEQUENTIAL, {"choice": 0, "candidates": frozenset({0}), "basket": frozenset({0})},
+         "a sequential observation takes no basket"),
+        (D.MULTI, {"basket": frozenset({1, 2}), "candidates": frozenset({0})},
+         "a multi observation takes no candidates or choice"),
+        (D.MULTI, {"basket": frozenset({1, 2}), "choice": 1},
+         "a multi observation takes no candidates or choice"),
+        (D.SINGLE, {"choice": 0, "context": (0.5, float("nan"))},
+         "context (0.5, nan) is not finite"),
+        (D.MULTI, {"basket": frozenset({1}), "context": (float("-inf"),)},
+         "context (-inf,) is not finite"),
+    ])
+    def test_a_dataset_refuses_unused_fields_and_non_finite_contexts(self, kind, fields, refused):
+        cat = D.ItemCatalog.one_hot(list("abc"))
+        obs = D.ChoiceObservation(kind, self.S, **fields)
+        with pytest.raises(D.DataError, match=re.escape(f"observation 0: {refused}")):
+            D.ChoiceDataset(cat, [obs], kind)
+
+    @pytest.mark.parametrize("rows, named", [
+        # candidates would pad a basket row over C, outside its basket
+        (["0,multi,a;b;c,,,a;b", "1,multi,a;b;c,a,,b;c"],
+         "line 3: a multi observation takes no candidates or choice"),
+        # choices on every basket row would be counted in place of the baskets
+        (["0,multi,a;b;c,,a,a;b", "1,multi,a;b;c,,b,b;c"],
+         "line 2: a multi observation takes no candidates or choice"),
+        # a single row is scored over its whole assortment, never over C
+        (["0,single,a;b;c,,a,", "1,single,a;b;c,b;c,b,"],
+         "line 3: a single observation takes no candidates or basket"),
+    ])
+    def test_load_csv_names_the_line_of_an_unused_field(self, tmp_path, rows, named):
+        p = tmp_path / "d.csv"
+        write_single_csv(p, rows)
+        with pytest.raises(D.DataError, match=f"d.csv, {named}"):
+            D.load_csv(p)
+
+    def test_load_csv_names_the_line_of_a_non_finite_context(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text(
+            "obs_id,kind,assortment,candidates,choice,basket,f_0\n"
+            "0,single,A;B,,A,,1.5\n"
+            "1,single,A;B,,B,,nan\n"
+        )
+        with pytest.raises(D.DataError, match=r"d.csv, line 3: context \(nan,\) is not finite"):
+            D.load_csv(p)
+
+    def test_non_finite_item_features_name_the_item_and_file(self, tmp_path):
+        with pytest.raises(D.DataError, match="item 'b' has non-finite features"):
+            D.ItemCatalog(["a", "b"], np.array([[0.0, 1.0], [np.inf, 0.0]]))
+        data, feats = tmp_path / "d.csv", tmp_path / "items.csv"
+        write_single_csv(data, ["0,single,a;b,,a,"])
+        feats.write_text("name,f_0\na,1.0\nb,-inf\n")
+        with pytest.raises(D.DataError, match="items.csv: item 'b' has non-finite features"):
+            D.load_csv(data, feats)
 
 
 class TestTransactions:
@@ -371,16 +437,21 @@ class TestBatching:
         np.testing.assert_array_equal(batch.cand_features[1, :2], np.eye(5)[[1, 4]])
         assert (batch.cand_features[1, 2] == 0).all()
         np.testing.assert_array_equal(batch.cand_mask, [[True, True, True], [True, True, False]])
-        np.testing.assert_array_equal(batch.label_mask, [[False, True, False], [True, True, False]])
-        assert batch.labels is None
+        # each row counts its basket members over its candidate positions
+        ds = D.ChoiceDataset(cat, obs, D.MULTI)
+        assert ds._rows.labels is None
+        (counted,) = D.make_batches(ds, 2, shuffle=False)
+        np.testing.assert_array_equal(counted.chosen, [[0, 1, 0], [1, 1, 0]])
 
     def test_no_choices_no_labels(self):
         cat = D.ItemCatalog.one_hot(list("abc"))
         S = frozenset(range(3))
         obs = D.ChoiceObservation(D.SEQUENTIAL, S, candidates=frozenset({0, 2}))
         batch = D.pad_batch(cat, [obs])
-        assert batch.labels is None and batch.label_mask is None
         assert batch.cand_items == [[0, 2]] and batch.assort_items == [[0, 1, 2]]
+        rows = D._Rows.of(cat, [obs])
+        assert rows.labels is None and rows.baskets is None
+        assert rows.chosen(slice(None), np.zeros(1, dtype=int), rows.cand.shape) is None
 
     def test_batched_vs_unbatched_forward(self):
         ds = D.generate_boosted_synthetic(30, seed=2)
@@ -468,16 +539,24 @@ def _reference_pad_batch(catalog, observations):
     first_obs = [o for _, o in firsts.values()]
     assort_sets = [sorted(o.assortment) for o in first_obs]
     fs, ms = _reference_pad(catalog, assort_sets, [o.context for o in first_obs])
+    return D.PaddedBatch(fc, fs, mc, ms, cand_sets, assort_sets, np.array(index))
+
+
+def _reference_targets(observations):
+    """Each row's chosen candidate position when every row has a choice,
+    and each row's basket mask over its padded candidates when every row
+    has a basket; None otherwise."""
+    cand_sets = [
+        sorted(o.assortment if o.candidates is None else o.candidates) for o in observations
+    ]
     labels = label_mask = None
     if all(o.choice is not None for o in observations):
         labels = np.array([c.index(o.choice) for c, o in zip(cand_sets, observations)])
     if all(o.basket is not None for o in observations):
-        label_mask = np.zeros(mc.shape, dtype=bool)
+        label_mask = np.zeros((len(cand_sets), max(map(len, cand_sets))), dtype=bool)
         for b, (items, obs) in enumerate(zip(cand_sets, observations)):
             label_mask[b, : len(items)] = [i in obs.basket for i in items]
-    return D.PaddedBatch(
-        fc, fs, mc, ms, labels, label_mask, cand_sets, assort_sets, np.array(index)
-    )
+    return labels, label_mask
 
 
 def _reference_keys(observations):
@@ -533,8 +612,7 @@ def _catalog_and_batch(draw):
 
 def _assert_same_batch(batch, want):
     """``batch`` equals ``want`` field for field."""
-    for field in ("cand_features", "assort_features", "cand_mask", "assort_mask",
-                  "labels", "label_mask", "assort_index"):
+    for field in ("cand_features", "assort_features", "cand_mask", "assort_mask", "assort_index"):
         got, ref = getattr(batch, field), getattr(want, field)
         if ref is None:
             assert got is None, field
@@ -554,8 +632,14 @@ def test_pad_batch_matches_per_row_padding(case):
     catalog, observations = case
     want = _reference_pad_batch(catalog, observations)
     _assert_same_batch(D.pad_batch(catalog, observations), want)
-    keys = D._Rows.of(catalog, observations).key
-    np.testing.assert_array_equal(keys, _reference_keys(observations))
+    rows = D._Rows.of(catalog, observations)
+    np.testing.assert_array_equal(rows.key, _reference_keys(observations))
+    # the row index holds every row's label, or every row's basket mask
+    for got, ref in zip((rows.labels, rows.baskets), _reference_targets(observations)):
+        if ref is None:
+            assert got is None
+        else:
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -582,11 +666,11 @@ def test_gathered_batches_match_per_row_padding(case, batch_size, seed):
         _assert_same_batch(counted.batch, _reference_pad_batch(catalog, [rows[b] for b in firsts]))
         np.testing.assert_array_equal(counted.rows, np.bincount(keys))
         assert counted.size == len(rows)
-        every_row = _reference_pad_batch(catalog, rows)
+        labels, label_mask = _reference_targets(rows)
         chosen = np.zeros(counted.batch.cand_mask.shape)
         for b, k in enumerate(keys):
-            if every_row.labels is not None:
-                chosen[k, every_row.labels[b]] += 1
+            if labels is not None:
+                chosen[k, labels[b]] += 1
             else:
-                chosen[k] += every_row.label_mask[b]
+                chosen[k] += label_mask[b]
         np.testing.assert_array_equal(counted.chosen, chosen)

@@ -240,7 +240,7 @@ class TestForwardBasics:
         batch = D.PaddedBatch(
             np.zeros((1, 2, 5)), np.zeros((1, 2, 5)),
             np.zeros((1, 2), bool), np.ones((1, 2), bool),
-            np.zeros(1, dtype=np.int64), None, [[0, 1]], [[0, 1]], np.zeros(1, dtype=np.int64),
+            [[0, 1]], [[0, 1]], np.zeros(1, dtype=np.int64),
         )
         with pytest.raises(ValueError):
             M.forward(batch, params, cfg)
@@ -416,6 +416,18 @@ class TestCheckpoint:
             argv = ["eval", "--task", "sequential", "--data", str(data), "--checkpoint", str(path)]
             assert cli.main(argv) == cli.EXIT_BAD_INPUT
             assert named in capsys.readouterr().err
+
+    def test_non_finite_params_rejected_naming_them(self, tmp_path, capsys):
+        cfg = M.TCNetConfig(input_dim=4, hidden_dim=8, n_heads=2)
+        params = M.init_params(cfg)
+        params["dec.0.b"].data[:] = np.nan
+        params["assort.embed.W1"].data[0, 1] = -np.inf
+        path = tmp_path / "bad.ckpt.npz"
+        M.save_checkpoint(path, params, cfg)
+        with pytest.raises(ValueError, match="checkpoint parameters are not finite") as err:
+            M.load_checkpoint(path)
+        assert "dec.0.b" in str(err.value) and "assort.embed.W1" in str(err.value)
+        assert "cand.0.cross.Wq" not in str(err.value)
 
 
 class TestConfigValidation:

@@ -317,7 +317,8 @@ class TestTrainLoop:
 def bakery_step_inputs():
     """A 64-row bakery-shaped training batch: every row offers the whole
     50-item one-hot catalog as its assortment and all but up to three drawn
-    items as candidates; and a dv-32, 4-head network for it."""
+    items as candidates; its rows' one-hot choices, counted by the row
+    index; and a dv-32, 4-head network for it."""
     rows, n_items = 64, 50
     rng = np.random.default_rng(0)
     cat = D.ItemCatalog([f"i{k}" for k in range(n_items)], np.eye(n_items))
@@ -329,7 +330,9 @@ def bakery_step_inputs():
         choice = int(rng.choice(sorted(cand)))
         obs.append(D.ChoiceObservation(D.SEQUENTIAL, items, candidates=cand, choice=choice))
     mc = small_config(input_dim=n_items, hidden_dim=32, n_heads=4, dropout_rate=0.1)
-    return D.pad_batch(cat, obs), M.init_params(mc), mc
+    index = D._Rows.of(cat, obs)
+    chosen = index.chosen(slice(None), np.arange(rows), index.cand.shape)
+    return index.batch(), chosen, M.init_params(mc), mc
 
 
 def count_tensors() -> int:
@@ -340,19 +343,18 @@ class TestTapeLifetime:
     """``backward()`` frees the graph as it walks it, so a training step
     holds one graph at a time."""
 
-    def step(self, batch, params, mc):
+    def step(self, batch, chosen, params, mc):
         u = M.forward_utilities(batch, params, mc, True, np.random.default_rng(1))
-        onehot = np.eye(batch.cand_mask.shape[1])[batch.labels]
-        return T.ce_loss(u.masked_softmax(batch.cand_mask), onehot)
+        return T.ce_loss(u.masked_softmax(batch.cand_mask), chosen)
 
     def test_only_params_and_root_outlive_backward(self):
-        batch, params, mc = bakery_step_inputs()
+        batch, chosen, params, mc = bakery_step_inputs()
         gc.collect()
         before = count_tensors()
         # with the collector off, only reference counting frees the graph
         gc.disable()
         try:
-            loss = self.step(batch, params, mc)
+            loss = self.step(batch, chosen, params, mc)
             assert count_tensors() > before + 10
             loss.backward()
             after = count_tensors()
@@ -361,12 +363,12 @@ class TestTapeLifetime:
         assert after == before + 1
 
     def test_memory_after_backward_and_peak(self):
-        batch, params, mc = bakery_step_inputs()
+        batch, chosen, params, mc = bakery_step_inputs()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            loss = self.step(batch, params, mc)
+            loss = self.step(batch, chosen, params, mc)
             forward = tracemalloc.get_traced_memory()[0] - base
             loss.backward()
             live, peak = (m - base for m in tracemalloc.get_traced_memory())
@@ -397,6 +399,16 @@ class TestGridSearch:
         )
         assert best_mc.hidden_dim == 8
         assert best_mc.n_heads == 4
+
+    @pytest.mark.parametrize("grid", ["hidden_grid", "heads_grid", "lr_grid"])
+    def test_an_empty_grid_is_refused_before_training(self, grid, monkeypatch):
+        def must_not_train(*args, **kwargs):
+            raise AssertionError("trained despite an empty grid")
+
+        monkeypatch.setattr(T, "train", must_not_train)
+        tc = T.TrainConfig(epochs=1, batch_size=16, seed=0)
+        with pytest.raises(ValueError, match="must be nonempty"):
+            T.grid_search(small_config(), small_splits(40), tc, **{grid: ()})
 
 
 def diverging(utilities, at):
@@ -644,6 +656,26 @@ def test_batched_evaluator_matches_forwarding_every_row(case):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_evaluation_case())
+def test_dataset_loss_is_the_step_loss_over_the_whole_dataset(case):
+    # a dataset's loss is the training step's loss on its one unshuffled
+    # batch of every row: ce on sequential rows, binary_ce on baskets, with
+    # repeated rows and contexts; only the forwards' widths differ
+    ds, params, config, batch_size = case
+    objective = "ce" if ds.kind == D.SEQUENTIAL else "binary_ce"
+    utilities = T.network_utilities(config)
+    (counted,) = D.make_batches(ds, len(ds), shuffle=False)
+    assert counted.size == len(ds)
+    with no_grad():
+        u = utilities(counted.batch, params, False, None)
+        want = T.objective_loss(
+            objective, u, counted.batch.cand_mask, counted.rows, counted.chosen
+        ).item()
+    got = T.dataset_loss(ds, params, utilities, objective, batch_size)
+    assert abs(got - want) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_evaluation_case())
 def test_dataset_utilities_forwards_first_appearances_of_candidates_and_entry(case):
     # the forwards hold the first row of each distinct (sorted candidates,
     # (assortment, context)) of the whole dataset, in order of first
@@ -714,12 +746,12 @@ def test_objectives_need_their_labels():
         T.dataset_ce(baskets, params, config)
     with pytest.raises(D.DataError, match="binary_ce needs a basket in every row"):
         T.dataset_loss(choices, params, utilities, "binary_ce")
-    # a row without a choice has label -1 in the row index: ce refuses it
-    # instead of reading its last candidate
+    # a row without a choice leaves the row index without labels: ce
+    # refuses it instead of reading a made-up label
     mixed = D.ChoiceDataset._of_valid(
         choices.catalog, choices.observations[:3] + baskets.observations[:1], D.SEQUENTIAL
     )
-    assert mixed._rows.labels[-1] == -1
+    assert mixed._rows.labels is None
     with pytest.raises(D.DataError, match="ce needs a choice in every row"):
         T.dataset_loss(mixed, params, utilities, "ce")
 
@@ -930,11 +962,14 @@ def _reference_make_batches(ds, batch_size, rng=None, shuffle=True):
     the step that forwards every row."""
     order = rng.permutation(len(ds)) if shuffle else np.arange(len(ds))
     for start in range(0, len(order), batch_size):
-        batch = D.pad_batch(ds.catalog, [ds.observations[i] for i in order[start : start + batch_size]])
-        if batch.labels is not None:
-            chosen = np.eye(batch.cand_mask.shape[1])[batch.labels]
-        else:
-            chosen = batch.label_mask.astype(float)
+        rows = [ds.observations[i] for i in order[start : start + batch_size]]
+        batch = D.pad_batch(ds.catalog, rows)
+        chosen = np.zeros(batch.cand_mask.shape)
+        for b, (items, obs) in enumerate(zip(batch.cand_items, rows)):
+            if obs.choice is not None:
+                chosen[b, items.index(obs.choice)] = 1.0
+            else:
+                chosen[b, : len(items)] = [i in obs.basket for i in items]
         yield D.CountedBatch(batch, np.ones(batch.size, dtype=int), chosen)
 
 
